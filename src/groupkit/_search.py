@@ -3,107 +3,17 @@
 Shared engine behind hom_set, automorphism enumeration and isomorphism
 search: pick a minimal generating sequence of the source, try order-
 compatible images for each generator, force the rest of the map by closing
-under products, and verify surviving candidates row by row.
+under products, and verify surviving candidates on the generator rows.
 """
 
 from __future__ import annotations
 
-from .core import GroupTable, SizeCapError, element_order
-
-
-def _grow(mul, base: set, base_list: list, x: int) -> tuple[set, list]:
-    """Closure of an already-closed set plus one new element."""
-    total = set(base)
-    lst = list(base_list)
-    total.add(x)
-    lst.append(x)
-    qi = len(lst) - 1
-    while qi < len(lst):
-        a = lst[qi]
-        qi += 1
-        bi = 0
-        while bi < len(lst):
-            b = lst[bi]
-            bi += 1
-            for p in (mul[a][b], mul[b][a]):
-                if p not in total:
-                    total.add(p)
-                    lst.append(p)
-    return total, lst
+from .core import GroupTable, SizeCapError, respects_products
 
 
 def generating_sequence(g: GroupTable) -> list[int]:
-    """Greedy minimal generating sequence.
-
-    Repeatedly adds the element whose inclusion grows the generated subgroup
-    the most, breaking ties by lowest index. Empty for the trivial group.
-    """
-    n = g.order
-    if n == 1:
-        return []
-    orders = [element_order(g, x) for x in range(n)]
-    first = max(range(n), key=lambda x: (orders[x], -x))
-    gens = [first]
-    have, have_list = _grow(g.mul, {g.identity}, [g.identity], first)
-    while len(have) < n:
-        if 4 * len(have) > n:
-            # any outside element must finish the job: the grown subgroup
-            # is a proper multiple of |have| dividing n, hence n itself,
-            # and all candidates tie at the maximum, so lowest index wins
-            gens.append(next(x for x in range(n) if x not in have))
-            break
-        best = best_set = best_list = None
-        for x in range(n):
-            if x in have:
-                continue
-            grown, grown_list = _grow(g.mul, have, have_list, x)
-            if best_set is None or len(grown) > len(best_set):
-                best, best_set, best_list = x, grown, grown_list
-        gens.append(best)
-        have, have_list = best_set, best_list
-    return gens
-
-
-def _extension_plans(g: GroupTable, gens: list[int]) -> list[list[tuple[int, int, int]]]:
-    """Per-generator assignment plans.
-
-    plans[t] lists steps (p, x, y) with p = x*y, meaning: once generators
-    0..t have images, the image of p is forced as img[x]*img[y]. Walking the
-    plans in order assigns every element of the group exactly once.
-    """
-    smul = g.mul
-    known = {g.identity}
-    known_list = [g.identity]
-    plans: list[list[tuple[int, int, int]]] = []
-    for gi in gens:
-        steps: list[tuple[int, int, int]] = []
-        known.add(gi)
-        known_list.append(gi)
-        qi = len(known_list) - 1
-        while qi < len(known_list):
-            a = known_list[qi]
-            qi += 1
-            bi = 0
-            while bi < len(known_list):
-                b = known_list[bi]
-                bi += 1
-                for x, y in ((a, b), (b, a)):
-                    p = smul[x][y]
-                    if p not in known:
-                        known.add(p)
-                        known_list.append(p)
-                        steps.append((p, x, y))
-        plans.append(steps)
-    return plans
-
-
-def _respects_table(smul, tmul, img, n: int) -> bool:
-    for a in range(n):
-        ra = smul[a]
-        ta = tmul[img[a]]
-        if [img[x] for x in ra] != [ta[w] for w in img]:
-            return False
-    return True
+    """Greedy minimal generating sequence; see GroupTable.gens_and_plans."""
+    return list(g.gens_and_plans[0])
 
 
 def search_morphisms(
@@ -119,24 +29,23 @@ def search_morphisms(
 
     Generator images are filtered by element order (equal when exact_order,
     divisor otherwise); forced assignments are pruned by the same order rule
-    and, when injective, by image collisions. Complete candidates get a full
-    row-by-row verification, so the returned maps are genuine homomorphisms
-    (bijective ones when injective). Sorted lexicographically by image array
-    unless first_only.
+    and, when injective, by image collisions. Complete candidates are checked
+    by respects_products, so the returned maps are genuine homomorphisms
+    (bijective ones when injective). Both tables must be groups; that check
+    relies on it, and verify_group_axioms checks it for tables from
+    make_table. Sorted lexicographically by image array unless first_only.
     """
     n, m = src.order, tgt.order
     if injective and n != m:
         return []
-    gens = generating_sequence(src)
-    src_orders = [element_order(src, x) for x in range(n)]
-    tgt_orders = [element_order(tgt, x) for x in range(m)]
+    gens, plans = src.gens_and_plans
+    src_orders, tgt_orders = src.orders, tgt.orders
     if exact_order:
         candidates = [[w for w in range(m) if tgt_orders[w] == src_orders[x]] for x in gens]
     else:
         candidates = [[w for w in range(m) if src_orders[x] % tgt_orders[w] == 0] for x in gens]
-    plans = _extension_plans(src, gens)
 
-    smul, tmul = src.mul, tgt.mul
+    tmul = tgt.mul
     img = [-1] * n
     used = [False] * m
     trail: list[int] = []
@@ -164,7 +73,7 @@ def search_morphisms(
 
     def dfs(level: int) -> bool:
         if level == len(gens):
-            if _respects_table(smul, tmul, img, n):
+            if respects_products(src, tgt, img):
                 results.append(tuple(img))
                 if cap is not None and len(results) > cap:
                     raise SizeCapError(

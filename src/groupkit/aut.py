@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     GroupTable,
     Morphism,
     SizeCapError,
     SubgroupRef,
-    element_order,
     is_abelian,
     make_table,
 )
@@ -23,7 +21,7 @@ def _elementary_abelian_projection(g: GroupTable) -> int | None:
     """Projected |Aut| when G is elementary abelian (Z_p^m), else None."""
     if g.order == 1 or not is_abelian(g):
         return None
-    orders = {element_order(g, x) for x in range(g.order) if x != g.identity}
+    orders = {d for x, d in enumerate(g.orders) if x != g.identity}
     if len(orders) != 1:
         return None
     p = orders.pop()
@@ -107,7 +105,6 @@ def is_characteristic(g: GroupTable, c: SubgroupRef, cap: int = DEFAULT_AUT_CAP)
     return True
 
 
-@lru_cache(maxsize=128)
 def _check_pair_encoding(psi, product: GroupTable) -> tuple[int, int]:
     """Ensure `product` really is the pair-encoded semidirect product for psi."""
     k, h = psi.k_group, psi.h_group
@@ -164,24 +161,3 @@ def lambda_lift(delta: Morphism, psi, product: GroupTable) -> tuple[Morphism, bo
     image = tuple((p // nh) * nh + di[p % nh] for p in range(product.order))
     candidate = Morphism(product, product, image)
     return candidate, candidate.is_homomorphism()
-
-
-def mixed_pair_check(candidate: Morphism, k_order: int, h_order: int) -> bool:
-    """Homomorphism shortcut for split-form maps on a pair-encoded product.
-
-    For candidates of the form (k,h) -> (gamma(k), phi(h)) it suffices to
-    check F(h*k) = F(h)F(k) over mixed pairs only; full-table agreement with
-    this shortcut is covered by the property tests.
-    """
-    g = candidate.source
-    if g.order != k_order * h_order:
-        raise ValueError("candidate source is not the pair-encoded product")
-    mul, img = g.mul, candidate.image
-    for hh in range(h_order):
-        row = mul[hh]
-        target = mul[img[hh]]
-        for kk in range(k_order):
-            ke = kk * h_order
-            if img[row[ke]] != target[img[ke]]:
-                return False
-    return True

@@ -21,29 +21,10 @@ import sys
 from .aut import aut_group
 from .construct import action_classes, hom_set
 from .core import GroupTable, SizeCapError, center, is_abelian, order_spectrum, to_json_dict
-from .expr import (
-    ExprError,
-    ExprEvalError,
-    ExprSyntaxError,
-    GroupExpr,
-    eval_expr,
-    parse_and_eval,
-    parse_expr,
-)
+from .expr import ExprError, parse_and_eval
 from .iso import are_isomorphic, identify
 from ._search import generating_sequence
 from .verify import VerifyConfig, VerifyReport, report_to_json, run_all
-
-__all__ = [
-    "main",
-    "parse_expr",
-    "eval_expr",
-    "parse_and_eval",
-    "GroupExpr",
-    "ExprError",
-    "ExprSyntaxError",
-    "ExprEvalError",
-]
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1

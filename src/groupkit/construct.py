@@ -18,13 +18,13 @@ from .core import (
     SizeCapError,
     SubgroupRef,
     compose,
+    grow_closure,
     identity_morphism,
     is_normal,
     make_table,
-    subgroup_generated,
     subgroup_table,
 )
-from ._search import generating_sequence, search_morphisms
+from ._search import search_morphisms
 
 
 @dataclass(frozen=True)
@@ -225,26 +225,25 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
     if rem:
         raise ValueError("subgroup size does not divide group order")
 
-    def extend(members: frozenset, start: int) -> frozenset | None:
+    def extend(members: list[int], start: int) -> list[int] | None:
         if len(members) == q:
             return members
+        inside = set(members)
         for x in range(start, n):
-            if x in members or x in kset:
+            if x in inside or x in kset:
                 continue
-            grown = set(subgroup_generated(g, list(members) + [x]).members)
-            if len(grown) > q or q % len(grown) or len(grown & kset) > 1:
+            grown = grow_closure(g.mul, members, x)
+            if len(grown) > q or q % len(grown) or len(kset.intersection(grown)) > 1:
                 continue
-            if len(grown) == q:
-                return frozenset(grown)
-            found = extend(frozenset(grown), x + 1)
+            found = extend(grown, x + 1)
             if found is not None:
                 return found
         return None
 
-    comp = extend(frozenset([g.identity]), 0)
+    comp = extend([g.identity], 0)
     if comp is None:
         return None
-    h_ref = SubgroupRef(g, tuple(sorted(comp)))
+    h_ref = SubgroupRef(g, tuple(comp))
     k_table, k_embed = subgroup_table(g, k.members)
     h_table, h_embed = subgroup_table(g, h_ref.members)
     k_back = {x: i for i, x in enumerate(k_embed)}

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence, Union
 
 DEFAULT_SIZE_CAP = 4096
+
+Step = tuple[int, int, int]  # (p, x, y) with p = x*y
 
 
 class SizeCapError(Exception):
@@ -20,6 +24,10 @@ class GroupTable:
     Constructors in this package put the identity at index 0, but every query
     honours the stored identity field, so relabeled tables stay valid.
     elem_names are display-only and never affect semantics.
+
+    Derived data (element orders, generating sequence, extension plans) is
+    computed on first use and cached on the instance; it is not a field, so
+    it never affects eq, hash or repr.
     """
 
     order: int
@@ -27,6 +35,50 @@ class GroupTable:
     identity: int
     inv: tuple[int, ...]
     elem_names: tuple[str, ...]
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """orders[x] is the order of element x."""
+        return tuple(element_order(self, x) for x in range(self.order))
+
+    @cached_property
+    def gens_and_plans(self) -> tuple[tuple[int, ...], tuple[tuple[Step, ...], ...]]:
+        """A greedy minimal generating sequence and its extension plans.
+
+        The sequence repeatedly adds the element whose inclusion grows the
+        generated subgroup the most, breaking ties by lowest index; it is
+        empty for the trivial group. plans[t] lists steps (p, x, y) with
+        p = x*y, meaning: once generators 0..t have images, the image of p is
+        forced as img[x]*img[y]. Walking the plans in order assigns every
+        element of the group exactly once.
+        """
+        n, mul, orders = self.order, self.mul, self.orders
+        have = [self.identity]
+        gens: list[int] = []
+        plans: list[tuple[Step, ...]] = []
+        while len(have) < n:
+            inside = set(have)
+            if not gens:
+                x = max(range(n), key=lambda x: (orders[x], -x))
+            elif 4 * len(have) > n:
+                # any outside element must finish the job: the grown subgroup
+                # is a proper multiple of |have| dividing n, hence n itself,
+                # and all candidates tie at the maximum, so lowest index wins
+                x = next(x for x in range(n) if x not in inside)
+            else:
+                # <have, h*x> = <have, x> for h in have, so one trial per coset
+                size = 0
+                for y in range(n):
+                    if y not in inside:
+                        grown = len(grow_closure(mul, have, y))
+                        if grown > size:
+                            x, size = y, grown
+                        inside.update(mul[h][y] for h in have)
+            steps: list[Step] = []
+            have = grow_closure(mul, have, x, steps)
+            gens.append(x)
+            plans.append(tuple(steps))
+        return tuple(gens), tuple(plans)
 
     def name_of(self, x: int) -> str:
         return self.elem_names[x]
@@ -47,15 +99,12 @@ class Morphism:
         return self.image[x]
 
     def is_homomorphism(self) -> bool:
-        src, tgt, img = self.source, self.target, self.image
-        if img[src.identity] != tgt.identity:
-            return False
-        tmul = tgt.mul
-        for a in range(src.order):
-            ta = tmul[img[a]]
-            if [img[x] for x in src.mul[a]] != [ta[w] for w in img]:
-                return False
-        return True
+        """True when the image array respects products.
+
+        Both tables must be groups (verify_group_axioms checks that for
+        tables from make_table); see respects_products.
+        """
+        return respects_products(self.source, self.target, self.image)
 
     def is_bijective(self) -> bool:
         return (
@@ -65,6 +114,28 @@ class Morphism:
 
     def is_isomorphism(self) -> bool:
         return self.is_bijective() and self.is_homomorphism()
+
+
+def respects_products(src: GroupTable, tgt: GroupTable, img: Sequence[int]) -> bool:
+    """True when f = img satisfies f(a*b) = f(a)*f(b) for all a, b in src.
+
+    Checks f(e) = e, then f(g*x) = f(g)*f(x) for each g in the cached
+    generating sequence of src and every x, which costs O(d*n). That suffices
+    when both tables are groups: the set of a with f(a*x) = f(a)*f(x) for all
+    x contains the generators and is closed under products, because
+    f(ab*x) = f(a)*f(b*x) = f(a)*f(b)*f(x) = f(ab)*f(x) by associativity in
+    both tables; a nonempty subset of a finite group closed under products is
+    a subgroup, so it is all of src. With no generators (order 1) the f(e) = e
+    test is the whole check.
+    """
+    if img[src.identity] != tgt.identity:
+        return False
+    smul, tmul = src.mul, tgt.mul
+    for a in src.gens_and_plans[0]:
+        ta = tmul[img[a]]
+        if [img[x] for x in smul[a]] != [ta[w] for w in img]:
+            return False
+    return True
 
 
 def identity_morphism(g: GroupTable) -> Morphism:
@@ -225,14 +296,13 @@ def element_order(g: GroupTable, x: int) -> int:
 
 
 def element_orders(g: GroupTable) -> list[int]:
-    return [element_order(g, x) for x in range(g.order)]
+    return list(g.orders)
 
 
 def order_spectrum(g: GroupTable) -> dict[int, int]:
     """Map each element order to its multiplicity; an isomorphism invariant."""
     spec: dict[int, int] = {}
-    for x in range(g.order):
-        d = element_order(g, x)
+    for d in g.orders:
         spec[d] = spec.get(d, 0) + 1
     return dict(sorted(spec.items()))
 
@@ -249,29 +319,48 @@ def center(g: GroupTable) -> SubgroupRef:
     return SubgroupRef(g, tuple(members))
 
 
+def grow_closure(mul, closed: Sequence[int], x: int,
+                 steps: list[Step] | None = None) -> list[int]:
+    """The closure of a product-closed set plus one element, in BFS order.
+
+    `closed` lists a set closed under products; the result lists it
+    unchanged, then x and every new product in the order it is found: for
+    each new a in turn and each b listed so far, a*b then b*a. When steps is
+    given, each new element p = u*v is recorded as (p, u, v).
+    """
+    members = set(closed)
+    grown = list(closed)
+    if x in members:
+        return grown
+
+    def add(p: int, u: int, v: int) -> None:
+        members.add(p)
+        grown.append(p)
+        if steps is not None:
+            steps.append((p, u, v))
+
+    members.add(x)
+    grown.append(x)
+    # list iterators see elements appended while they run
+    for a in islice(grown, len(closed), None):
+        ra = mul[a]
+        for b in grown:
+            if ra[b] not in members:
+                add(ra[b], a, b)
+            if mul[b][a] not in members:
+                add(mul[b][a], b, a)
+    return grown
+
+
 def subgroup_generated(g: GroupTable, gens: Iterable[int]) -> SubgroupRef:
-    closure = {g.identity}
-    frontier = [g.identity]
-    gens = [x for x in gens]
+    gens = list(gens)
     for x in gens:
         if not 0 <= x < g.order:
             raise IndexError(f"generator index {x} out of range")
-    mul = g.mul
-    todo = list(gens)
-    while todo:
-        x = todo.pop()
-        if x in closure:
-            continue
-        closure.add(x)
-        new = [x]
-        while new:
-            a = new.pop()
-            for b in list(closure):
-                for p in (mul[a][b], mul[b][a]):
-                    if p not in closure:
-                        closure.add(p)
-                        new.append(p)
-    return SubgroupRef(g, tuple(sorted(closure)))
+    closed = [g.identity]
+    for x in gens:
+        closed = grow_closure(g.mul, closed, x)
+    return SubgroupRef(g, tuple(closed))
 
 
 def is_subgroup(g: GroupTable, members: Iterable[int]) -> bool:

@@ -34,6 +34,7 @@ from typing import NoReturn, Union
 
 from .construct import Action, actions, cyclic, dihedral, direct_product, holomorph, semidirect
 from .core import GroupTable, Morphism
+from .numth import multiplicative_order
 
 
 class ExprError(Exception):
@@ -312,17 +313,6 @@ class _NameAllocator:
         return name
 
 
-def _multiplicative_order(i: int, m: int) -> int:
-    if m == 1:
-        return 1
-    order = 1
-    value = i % m
-    while value != 1:
-        value = value * i % m
-        order += 1
-    return order
-
-
 def _resolve_action(e: Semidirect, k_table: GroupTable, h_table: GroupTable) -> Action:
     spec = e.action
     if isinstance(spec, CyclicPower):
@@ -335,7 +325,7 @@ def _resolve_action(e: Semidirect, k_table: GroupTable, h_table: GroupTable) -> 
         if gcd(i, m) != 1:
             raise ExprEvalError(
                 f"r^{i} is not an automorphism of Z{m}: gcd({i}, {m}) != 1")
-        order = _multiplicative_order(i, m)
+        order = multiplicative_order(i, m)
         if n % order != 0:
             raise ExprEvalError(
                 f"r^{i} generates an automorphism of order {order} in Aut(Z{m}), "

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from .core import (
     GroupTable,
     Morphism,
-    element_order,
     is_abelian,
     center,
     order_spectrum,
@@ -17,7 +16,7 @@ from .core import (
 from ._search import search_morphisms
 from .construct import Action, cyclic, dihedral, direct_product, semidirect
 from .core import identity_morphism
-from .numth import totatives
+from .numth import multiplicative_order, totatives
 
 SEMIDIRECT_POOL_LIMIT = 128
 
@@ -67,7 +66,7 @@ def abelian_invariants(g: GroupTable) -> list[int]:
     invs: list[int] = []
     cur = g
     while cur.order > 1:
-        orders = [element_order(cur, x) for x in range(cur.order)]
+        orders = cur.orders
         top = max(orders)
         invs.append(top)
         gen = orders.index(top)
@@ -108,11 +107,7 @@ def _semidirect_cyclic_params(order: int):
                 continue
             # the action sends the K generator to its i-th power; its order
             # (multiplicative order of i mod m) must divide |H| = n
-            k, o = i, 1
-            while k != 1:
-                k = k * i % m
-                o += 1
-            if n % o == 0:
+            if n % multiplicative_order(i, m) == 0:
                 yield m, n, i
 
 
@@ -174,7 +169,7 @@ def identify(g: GroupTable) -> CatalogName:
     are_isomorphic, so the answer only depends on the isomorphism type.
     """
     n = g.order
-    if max(element_order(g, x) for x in range(n)) == n:
+    if max(g.orders) == n:
         return CatalogName("cyclic", (n,), f"Z{n}")
     if is_abelian(g):
         invs = tuple(abelian_invariants(g))
@@ -182,21 +177,12 @@ def identify(g: GroupTable) -> CatalogName:
     if n % 2 == 0 and n // 2 >= 3 and are_isomorphic(g, dihedral(n // 2)):
         return CatalogName("dihedral", (n // 2,), f"D{n // 2}")
     spec = order_spectrum(g)
-    d1 = 2
-    while d1 * d1 <= n:
-        if n % d1 == 0:
-            for name_a, build_a in _basic_pool(d1):
-                for name_b, build_b in _full_pool(n // d1):
-                    candidate = direct_product(build_a(), build_b())
-                    if order_spectrum(candidate) != spec:
-                        continue
-                    if are_isomorphic(g, candidate):
-                        factors = _factors_of(name_a) + _factors_of(name_b)
-                        factors.sort(key=lambda f: (f[0], f[1]))
-                        return CatalogName("product-of-named",
-                                           tuple(f[0] for f in factors),
-                                           " x ".join(f[1] for f in factors))
-        d1 += 1
+    for name, build in _full_pool(n):
+        if name.kind != "product-of-named":
+            continue
+        candidate = build()
+        if order_spectrum(candidate) == spec and are_isomorphic(g, candidate):
+            return name
     if n <= SEMIDIRECT_POOL_LIMIT:
         for m, nn, i in _semidirect_cyclic_params(n):
             candidate = _build_semidirect_cyclic(m, nn, i)

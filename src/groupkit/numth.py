@@ -1,4 +1,4 @@
-"""Integer helpers: gcd/lcm, trial-division factorization, totients."""
+"""Integer helpers: gcd/lcm, trial-division factorization, totients, unit orders."""
 
 from __future__ import annotations
 
@@ -71,3 +71,15 @@ def totatives(n: int) -> list[int]:
     """Ascending list of x in [1, n] coprime to n; totatives(1) == [1]."""
     _check_positive(n)
     return [x for x in range(1, n + 1) if math.gcd(x, n) == 1]
+
+
+def multiplicative_order(a: int, m: int) -> int:
+    """Least k >= 1 with a^k = 1 (mod m); a must be coprime to m."""
+    _check_positive(m, "m")
+    if math.gcd(a, m) != 1:
+        raise ValueError(f"{a} is not invertible mod {m}")
+    k, value = 1, a % m
+    while value != 1 % m:  # 1 % m is 0 when m == 1
+        value = value * a % m
+        k += 1
+    return k

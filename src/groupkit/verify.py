@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .core import (
     GroupTable,
     Morphism,
-    SubgroupRef,
     kernel,
     subgroup_table,
     verify_group_axioms,
@@ -27,6 +26,7 @@ from .construct import (
     direct_product,
     hom_set,
     holomorph,
+    kh_copies,
     recognize_split,
     semidirect,
 )
@@ -301,10 +301,6 @@ def _coprime_pairs(max_order: int):
                 yield m, n
 
 
-def _k_copy(g: GroupTable, k_order: int, h_order: int) -> SubgroupRef:
-    return SubgroupRef(g, tuple(kk * h_order for kk in range(k_order)))
-
-
 def check_characteristic_theorems(max_order: int = 60,
                                   aut_cap: int = 10_000) -> list[VerifyReport]:
     """Coprime-order structure and lift criteria.
@@ -325,7 +321,7 @@ def check_characteristic_theorems(max_order: int = 60,
         ok = True
         for a in acts:
             g = semidirect(k, h, a)
-            if not is_characteristic(g, _k_copy(g, m, n), cap=aut_cap):
+            if not is_characteristic(g, kh_copies(m, n, g)[0], cap=aut_cap):
                 ok = False
         rec.add(f"thm6.4.m={m}.n={n}", f"Z{m}-copy characteristic in all {len(acts)} products",
                 f"Z{m}-copy characteristic in all {len(acts)} products" if ok
@@ -358,7 +354,7 @@ def check_characteristic_theorems(max_order: int = 60,
     for kn, k, hn, h in (("D3", dihedral(3), "Z5", cyclic(5, "t")),
                          ("D4", dihedral(4), "Z3", cyclic(3, "t"))):
         g = direct_product(k, h)
-        char_ok = is_characteristic(g, _k_copy(g, k.order, h.order), cap=aut_cap)
+        char_ok = is_characteristic(g, kh_copies(k.order, h.order, g)[0], cap=aut_cap)
         rec.add(f"thm6.5.{kn}x{hn}", f"{kn}-copy characteristic",
                 f"{kn}-copy characteristic" if char_ok else "not characteristic")
         expected = len(automorphisms(k, cap=aut_cap)) * len(automorphisms(h, cap=aut_cap))
@@ -377,8 +373,7 @@ def check_characteristic_theorems(max_order: int = 60,
     )
     for kn, k, hn, h in battery:
         g = direct_product(k, h)
-        kc = _k_copy(g, k.order, h.order)
-        hc = SubgroupRef(g, tuple(range(h.order)))
+        kc, hc = kh_copies(k.order, h.order, g)
         product_count = len(automorphisms(g, cap=aut_cap))
         factor_count = len(automorphisms(k, cap=aut_cap)) * len(automorphisms(h, cap=aut_cap))
         both_char = (is_characteristic(g, kc, cap=aut_cap)

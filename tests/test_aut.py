@@ -10,7 +10,6 @@ from groupkit.aut import (
     automorphisms,
     is_characteristic,
     lambda_lift,
-    mixed_pair_check,
     zeta_lift,
 )
 from groupkit.construct import (
@@ -226,29 +225,6 @@ class TestLifts:
         squash = Morphism(k, k, (0, 0, 0, 0, 0))
         with pytest.raises(ValueError):
             zeta_lift(squash, act, g)
-
-
-class TestMixedPairCheck:
-    def test_agrees_with_full_homomorphism_check_on_split_maps(self):
-        # candidates (k, h) -> (omega(k), delta(h)) restrict to homomorphisms
-        # on both factors, so the mixed-pair shortcut must match the full check
-        k, h, act = _faithful_action_z4_on_z5()
-        g = semidirect(k, h, act)
-        from groupkit.core import Morphism
-
-        for om in automorphisms(k):
-            for d in automorphisms(h):
-                image = tuple(om.image[p // 4] * 4 + d.image[p % 4]
-                              for p in range(g.order))
-                candidate = Morphism(g, g, image)
-                assert mixed_pair_check(candidate, 5, 4) == candidate.is_homomorphism()
-
-    def test_rejects_wrong_dimensions(self):
-        g = dihedral(3)
-        from groupkit.core import identity_morphism
-
-        with pytest.raises(ValueError):
-            mixed_pair_check(identity_morphism(g), 5, 4)
 
 
 class TestGeneratingSequence:

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupkit.construct import cyclic, dihedral, direct_product, semidirect, trivial_action
+import groupkit.core
+from groupkit.aut import automorphisms
+from groupkit.construct import (
+    cyclic,
+    dihedral,
+    direct_product,
+    hom_set,
+    semidirect,
+    trivial_action,
+)
 from groupkit.core import (
     GroupTable,
     Morphism,
@@ -296,6 +305,78 @@ class TestMorphisms:
     def test_homomorphism_requires_identity_to_identity(self):
         m = Morphism(cyclic(2), cyclic(2), (1, 0))
         assert not m.is_homomorphism()
+
+
+def _relabelled(g: GroupTable, shift: int) -> GroupTable:
+    """g with element x renamed (x + shift) mod n, so the identity moves."""
+    n = g.order
+    back = [(y - shift) % n for y in range(n)]
+    return make_table([[(g.mul[back[a]][back[b]] + shift) % n for b in range(n)]
+                       for a in range(n)])
+
+
+_HOM_POOL = [
+    cyclic(1),
+    cyclic(2),
+    cyclic(4),
+    cyclic(6),
+    dihedral(3),
+    dihedral(4),
+    direct_product(cyclic(2), cyclic(2)),
+    _relabelled(dihedral(3), 2),
+]
+
+
+def _respects_all_pairs(m: Morphism) -> bool:
+    s, t, f = m.source, m.target, m.image
+    return all(f[s.mul[a][b]] == t.mul[f[a]][f[b]]
+               for a in range(s.order) for b in range(s.order))
+
+
+class TestHomomorphismCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_generator_rows_agree_with_all_pairs(self, data):
+        src = data.draw(st.sampled_from(_HOM_POOL))
+        tgt = data.draw(st.sampled_from(_HOM_POOL))
+        if data.draw(st.booleans()):
+            # a genuine homomorphism, then maybe one entry overwritten
+            image = list(data.draw(st.sampled_from(hom_set(src, tgt))).image)
+            pos = data.draw(st.integers(-1, src.order - 1))
+            if pos >= 0:
+                image[pos] = data.draw(st.integers(0, tgt.order - 1))
+        else:
+            image = data.draw(st.lists(st.integers(0, tgt.order - 1),
+                                       min_size=src.order, max_size=src.order))
+        m = Morphism(src, tgt, tuple(image))
+        assert m.is_homomorphism() == _respects_all_pairs(m)
+
+
+class TestDerivedData:
+    def test_cached_data_leaves_eq_hash_and_repr_alone(self):
+        a, b = dihedral(4), dihedral(4)
+        assert a.orders and a.gens_and_plans
+        assert "orders" in vars(a) and "orders" not in vars(b)
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert len({a, b}) == 1
+
+    def test_second_automorphisms_call_runs_no_closure(self, monkeypatch):
+        calls = []
+        real = groupkit.core.grow_closure
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groupkit.core, "grow_closure", counting)
+        g = dihedral(6)
+        first = automorphisms(g)
+        assert calls
+        seen = len(calls)
+        assert automorphisms(g) == first
+        assert len(calls) == seen
 
 
 class TestJson:

@@ -1,4 +1,4 @@
-"""Number-theory helpers: factorization, totient, totatives."""
+"""Number-theory helpers: factorization, totient, totatives, unit orders."""
 
 import math
 
@@ -6,7 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupkit.numth import FactoredInteger, euler_phi, factorize, gcd, lcm, totatives
+from groupkit.numth import (
+    FactoredInteger,
+    euler_phi,
+    factorize,
+    gcd,
+    lcm,
+    multiplicative_order,
+    totatives,
+)
 
 
 def _is_prime(p: int) -> bool:
@@ -129,3 +137,22 @@ class TestGcdLcm:
     def test_agrees_with_math_module(self, a, b):
         assert gcd(a, b) == math.gcd(a, b)
         assert lcm(a, b) == math.lcm(a, b)
+
+
+class TestMultiplicativeOrder:
+    @pytest.mark.parametrize(
+        "a, m, order", [(3, 8, 2), (2, 7, 3), (3, 7, 6), (5, 1, 1), (-1, 9, 2)])
+    def test_known_orders(self, a, m, order):
+        assert multiplicative_order(a, m) == order
+
+    def test_rejects_non_units(self):
+        with pytest.raises(ValueError):
+            multiplicative_order(2, 4)
+
+    @given(st.integers(min_value=1, max_value=200), st.integers(min_value=-50, max_value=400))
+    def test_is_least_exponent(self, m, a):
+        if math.gcd(a, m) != 1:
+            return
+        k = multiplicative_order(a, m)
+        assert pow(a, k, m) == 1 % m
+        assert all(pow(a, j, m) != 1 % m for j in range(1, k))

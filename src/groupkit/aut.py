@@ -105,59 +105,42 @@ def is_characteristic(g: GroupTable, c: SubgroupRef, cap: int = DEFAULT_AUT_CAP)
     return True
 
 
-def _check_pair_encoding(psi, product: GroupTable) -> tuple[int, int]:
-    """Ensure `product` really is the pair-encoded semidirect product for psi."""
-    k, h = psi.k_group, psi.h_group
-    nk, nh = k.order, h.order
-    if product.order != nk * nh:
-        raise ValueError("product order does not match |K|*|H|")
-    if product.identity != k.identity * nh + h.identity:
-        raise ValueError("product identity is not at the pair-encoded position")
-    kmul, hmul, pmul = k.mul, h.mul, product.mul
-    images = [m.image for m in psi.maps]
-    for k1 in range(nk):
-        for h1 in range(nh):
-            row = pmul[k1 * nh + h1]
-            act, hrow, krow = images[h1], hmul[h1], kmul[k1]
-            for k2 in range(nk):
-                base = krow[act[k2]] * nh
-                for h2 in range(nh):
-                    if row[k2 * nh + h2] != base + hrow[h2]:
-                        raise ValueError(
-                            "product table does not match the pair-encoded "
-                            f"semidirect product at ({k1},{h1})*({k2},{h2})")
-    return nk, nh
+def _factor_order(auto: Morphism, product: GroupTable, factor: str) -> int:
+    """auto.source.order; auto must be an automorphism and that order divide |product|."""
+    if auto.target != auto.source or not auto.is_isomorphism():
+        raise ValueError(f"the map to lift must be an automorphism of {factor}")
+    if product.order % auto.source.order:
+        raise ValueError(f"|{factor}| = {auto.source.order} does not divide "
+                         f"the product order {product.order}")
+    return auto.source.order
 
 
-def zeta_lift(omega: Morphism, psi, product: GroupTable) -> tuple[Morphism, bool]:
+def zeta_lift(omega: Morphism, product: GroupTable) -> tuple[Morphism, bool]:
     """Lift an automorphism of K to (k,h) -> (omega(k), h) on the product.
 
-    Returns the candidate and whether it actually is an automorphism, which
-    holds exactly when omega commutes with the acting automorphisms.
+    `product` must be pair encoded as semidirect builds it, (k, h) at index
+    k*|H| + h, with omega's source as K and |H| = product.order // |K|.
+    Returns the candidate and whether it is an automorphism of `product`;
+    on K x| H under psi that holds exactly when omega commutes with every
+    psi(h).
     """
-    if omega.source != psi.k_group or omega.target != psi.k_group:
-        raise ValueError("omega must be a self-map of the K factor")
-    if not omega.is_isomorphism():
-        raise ValueError("omega must be an automorphism of K")
-    nk, nh = _check_pair_encoding(psi, product)
+    nh = product.order // _factor_order(omega, product, "K")
     oi = omega.image
-    image = tuple(oi[p // nh] * nh + p % nh for p in range(product.order))
-    candidate = Morphism(product, product, image)
+    candidate = Morphism(product, product,
+                         tuple(oi[p // nh] * nh + p % nh for p in range(product.order)))
     return candidate, candidate.is_homomorphism()
 
 
-def lambda_lift(delta: Morphism, psi, product: GroupTable) -> tuple[Morphism, bool]:
+def lambda_lift(delta: Morphism, product: GroupTable) -> tuple[Morphism, bool]:
     """Lift an automorphism of H to (k,h) -> (k, delta(h)) on the product.
 
-    Returns the candidate and whether it actually is an automorphism, which
-    holds exactly when psi composed with delta equals psi.
+    `product` must be pair encoded as semidirect builds it, (k, h) at index
+    k*|H| + h, with delta's source as H. Returns the candidate and whether it
+    is an automorphism of `product`; on K x| H under psi that holds exactly
+    when psi composed with delta equals psi.
     """
-    if delta.source != psi.h_group or delta.target != psi.h_group:
-        raise ValueError("delta must be a self-map of the H factor")
-    if not delta.is_isomorphism():
-        raise ValueError("delta must be an automorphism of H")
-    nk, nh = _check_pair_encoding(psi, product)
+    nh = _factor_order(delta, product, "H")
     di = delta.image
-    image = tuple((p // nh) * nh + di[p % nh] for p in range(product.order))
-    candidate = Morphism(product, product, image)
+    candidate = Morphism(product, product,
+                         tuple((p // nh) * nh + di[p % nh] for p in range(product.order)))
     return candidate, candidate.is_homomorphism()

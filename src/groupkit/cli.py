@@ -130,6 +130,7 @@ def _verify_config(args: argparse.Namespace) -> VerifyConfig:
         kwargs["dihedral_max_n"] = min(12, n)
         kwargs["action_equiv_max_m"] = min(12, n)
         kwargs["action_equiv_max_n"] = min(6, n)
+        kwargs["characteristic_max_order"] = min(60, n)
     if args.negative_control:
         kwargs["negative_control"] = True
     return VerifyConfig(**kwargs)

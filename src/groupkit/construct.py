@@ -17,7 +17,6 @@ from .core import (
     Morphism,
     SizeCapError,
     SubgroupRef,
-    compose,
     grow_closure,
     identity_morphism,
     is_normal,
@@ -32,8 +31,16 @@ class Action:
     """A group H acting on K by automorphisms: maps[h] is what h does to K.
 
     Fully validated at construction: each map must be an automorphism of K,
-    the identity of H must act trivially, and maps[h1*h2] must equal
-    maps[h1] after maps[h2].
+    the identity of H must act trivially, and maps[a*b] must equal maps[a]
+    after maps[b]. That last check runs only for a in H's cached generating
+    sequence, O(d*|H|*|K|), which suffices when H is a group: the set of a
+    with maps[a*b] = maps[a] o maps[b] for all b contains the identity
+    (maps[e] = id is checked first) and the generators, and it is closed
+    under products: for a, a' in it, maps[(a*a')*b] = maps[a*(a'*b)]
+    = maps[a] o maps[a'*b] = maps[a] o maps[a'] o maps[b]
+    = maps[a*a'] o maps[b], by associativity in H and of composition. Every
+    element of a finite group is a product of its generators (inverses are
+    positive powers), so that set is all of H.
     """
 
     h_group: GroupTable
@@ -49,15 +56,13 @@ class Action:
                 raise ValueError(f"maps[{i}] is not a self-map of K")
             if not m.is_isomorphism():
                 raise ValueError(f"maps[{i}] is not an automorphism of K")
-        ident = tuple(range(k.order))
-        if self.maps[h.identity].image != ident:
+        images = [list(m.image) for m in self.maps]
+        if images[h.identity] != list(range(k.order)):
             raise ValueError("identity of H must act trivially")
-        for a in range(h.order):
-            ia = self.maps[a].image
-            for b in range(h.order):
-                ib = self.maps[b].image
-                expect = self.maps[h.mul[a][b]].image
-                if any(expect[x] != ia[ib[x]] for x in range(k.order)):
+        for a in h.gens_and_plans[0]:
+            ia = images[a]
+            for b, ab in enumerate(h.mul[a]):
+                if [ia[x] for x in images[b]] != images[ab]:
                     raise ValueError(
                         f"action is not a homomorphism: maps[{a}*{b}] != maps[{a}] o maps[{b}]")
 
@@ -82,6 +87,14 @@ class SplitWitness:
 def trivial_action(h_group: GroupTable, k_group: GroupTable) -> Action:
     ident = identity_morphism(k_group)
     return Action(h_group, k_group, tuple(ident for _ in range(h_group.order)))
+
+
+def power_action(h_group: GroupTable, k_group: GroupTable, i: int) -> Action:
+    """Cyclic H acting on cyclic K = Z_m, as cyclic() builds both, by r -> r^i."""
+    m = k_group.order
+    return Action(h_group, k_group, tuple(
+        Morphism(k_group, k_group, tuple(pow(i, t, m) * x % m for x in range(m)))
+        for t in range(h_group.order)))
 
 
 def cyclic(n: int, gen: str = "r", size_cap: int = DEFAULT_SIZE_CAP) -> GroupTable:
@@ -145,9 +158,7 @@ def dihedral(n: int, size_cap: int = DEFAULT_SIZE_CAP) -> GroupTable:
         raise ValueError(f"dihedral parameter must be >= 1, got {n}")
     k = cyclic(n, "r", size_cap=size_cap)
     h = cyclic(2, "s", size_cap=size_cap)
-    inversion = Morphism(k, k, tuple((-x) % n for x in range(n)))
-    return semidirect(k, h, Action(h, k, (identity_morphism(k), inversion)),
-                      size_cap=size_cap)
+    return semidirect(k, h, power_action(h, k, -1), size_cap=size_cap)
 
 
 def kh_copies(k_order: int, h_order: int, product: GroupTable) -> tuple[SubgroupRef, SubgroupRef]:
@@ -165,17 +176,20 @@ def hom_set(h: GroupTable, k: GroupTable, cap: int | None = 100_000) -> list[Mor
             for img in search_morphisms(h, k, injective=False, exact_order=False, cap=cap)]
 
 
+def _actions_by_hom(h: GroupTable, k: GroupTable, aut_cap: int):
+    """Each homomorphism H -> Aut(K), in hom_set order, as (image, Action)."""
+    ag = _aut.aut_group(k, cap=aut_cap)
+    for hom in hom_set(h, ag.table):
+        yield hom.image, Action(h, k, tuple(ag.elements[i] for i in hom.image))
+
+
 def actions(h: GroupTable, k: GroupTable, aut_cap: int = 10_000) -> list[Action]:
     """All actions of H on K, one per homomorphism H -> Aut(K).
 
     Deterministic order: lexicographic on the underlying arrays of
     Aut(K)-element indices.
     """
-    ag = _aut.aut_group(k, cap=aut_cap)
-    out = []
-    for hom in hom_set(h, ag.table):
-        out.append(Action(h, k, tuple(ag.elements[hom.image[x]] for x in range(h.order))))
-    return out
+    return [a for _, a in _actions_by_hom(h, k, aut_cap)]
 
 
 def action_classes(h: GroupTable, k: GroupTable, aut_cap: int = 10_000) -> list[list[Action]]:
@@ -185,14 +199,9 @@ def action_classes(h: GroupTable, k: GroupTable, aut_cap: int = 10_000) -> list[
     automorphism of H. Classes are ordered by their smallest member and each
     class is sorted, so the output is deterministic.
     """
-    ag = _aut.aut_group(k, cap=aut_cap)
-    index_of = {m.image: i for i, m in enumerate(ag.elements)}
-    acts = actions(h, k, aut_cap=aut_cap)
-    keys = [tuple(index_of[m.image] for m in a.maps) for a in acts]
-    by_key = dict(zip(keys, acts))
     h_autos = search_morphisms(h, h, injective=True, exact_order=True)
     classes = []
-    remaining = dict(sorted(by_key.items()))
+    remaining = dict(_actions_by_hom(h, k, aut_cap))
     while remaining:
         seed = next(iter(remaining))
         orbit = {tuple(seed[d[x]] for x in range(h.order)) for d in h_autos}

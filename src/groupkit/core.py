@@ -193,6 +193,43 @@ class AxiomVerdict:
 TableCandidate = Union[GroupTable, Sequence[Sequence[int]]]
 
 
+def _identity_and_inverses(mul: Sequence[Sequence[int]], identity: int | None,
+                           claimed_inv: Sequence[int] | None = None):
+    """(identity, inv) of a square mul array, or the AxiomVerdict that fails.
+
+    A given identity is checked in O(n), else the lowest two-sided one is
+    found; each inverse is the claimed one, checked, else the lowest found.
+    """
+    n = len(mul)
+    if identity is None:
+        identity = next((e for e in range(n)
+                         if all(mul[e][x] == x and mul[x][e] == x for x in range(n))), None)
+        if identity is None:
+            return AxiomVerdict(False, "identity", None, "no two-sided identity exists")
+    elif not 0 <= identity < n:
+        return AxiomVerdict(False, "identity", (identity,), "identity index out of range")
+    else:
+        for x in range(n):
+            if mul[identity][x] != x or mul[x][identity] != x:
+                return AxiomVerdict(False, "identity", (identity, x),
+                                    f"mul[{identity}][{x}] or mul[{x}][{identity}] != {x}")
+    inv = []
+    for x, row in enumerate(mul):
+        if claimed_inv is not None:
+            y = claimed_inv[x]
+            if not 0 <= y < n or row[y] != identity or mul[y][x] != identity:
+                return AxiomVerdict(False, "inverses", (x, y),
+                                    f"claimed inverse {y} of {x} fails")
+        else:
+            y = next((y for y, v in enumerate(row) if v == identity and mul[y][x] == identity),
+                     None)
+            if y is None:
+                return AxiomVerdict(False, "inverses", (x,),
+                                    f"element {x} has no two-sided inverse")
+        inv.append(y)
+    return identity, tuple(inv)
+
+
 def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) -> AxiomVerdict:
     """Check closure, identity, inverses and associativity on a raw table.
 
@@ -223,27 +260,9 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
                 return AxiomVerdict(False, "closure", (a, b),
                                     f"mul[{a}][{b}] = {v!r} is not an element index")
 
-    if identity is None:
-        identity = next((e for e in range(n)
-                         if all(mul[e][x] == x and mul[x][e] == x for x in range(n))), None)
-        if identity is None:
-            return AxiomVerdict(False, "identity", None, "no two-sided identity exists")
-    else:
-        if not 0 <= identity < n:
-            return AxiomVerdict(False, "identity", (identity,), "identity index out of range")
-        for x in range(n):
-            if mul[identity][x] != x or mul[x][identity] != x:
-                return AxiomVerdict(False, "identity", (identity, x),
-                                    f"mul[{identity}][{x}] or mul[{x}][{identity}] != {x}")
-
-    for x in range(n):
-        if claimed_inv is not None:
-            y = claimed_inv[x]
-            if not 0 <= y < n or mul[x][y] != identity or mul[y][x] != identity:
-                return AxiomVerdict(False, "inverses", (x, y),
-                                    f"claimed inverse {y} of {x} fails")
-        elif not any(mul[x][y] == identity and mul[y][x] == identity for y in range(n)):
-            return AxiomVerdict(False, "inverses", (x,), f"element {x} has no two-sided inverse")
+    found = _identity_and_inverses(mul, identity, claimed_inv)
+    if isinstance(found, AxiomVerdict):
+        return found
 
     for a in range(n):
         ra = mul[a]
@@ -262,27 +281,20 @@ def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                identity: int | None = None) -> GroupTable:
     """Build a GroupTable from a mul array, deriving identity and inverses.
 
-    Performs cheap identity/inverse validation only; run verify_group_axioms
-    for the full (cubic-time) axiom check.
+    Checks the given identity, or finds one, and finds a two-sided inverse of
+    every element; run verify_group_axioms for the full (cubic-time) check.
     """
     n = len(mul)
     rows = tuple(tuple(r) for r in mul)
     if any(len(r) != n for r in rows):
         raise ValueError("mul array is not square")
-    if identity is None:
-        identity = next((e for e in range(n)
-                         if all(rows[e][x] == x and rows[x][e] == x for x in range(n))), None)
-        if identity is None:
-            raise ValueError("table has no two-sided identity")
-    inv = []
-    for x in range(n):
-        y = next((y for y in range(n) if rows[x][y] == identity and rows[y][x] == identity), None)
-        if y is None:
-            raise ValueError(f"element {x} has no two-sided inverse")
-        inv.append(y)
+    found = _identity_and_inverses(rows, identity)
+    if isinstance(found, AxiomVerdict):
+        raise ValueError(found.detail)
+    identity, inv = found
     if names is None:
         names = tuple(f"g{i}" for i in range(n))
-    return GroupTable(n, rows, identity, tuple(inv), tuple(names))
+    return GroupTable(n, rows, identity, inv, tuple(names))
 
 
 def element_order(g: GroupTable, x: int) -> int:
@@ -361,14 +373,6 @@ def subgroup_generated(g: GroupTable, gens: Iterable[int]) -> SubgroupRef:
     for x in gens:
         closed = grow_closure(g.mul, closed, x)
     return SubgroupRef(g, tuple(closed))
-
-
-def is_subgroup(g: GroupTable, members: Iterable[int]) -> bool:
-    try:
-        SubgroupRef(g, tuple(members))
-    except ValueError:
-        return False
-    return True
 
 
 def is_normal(g: GroupTable, h: SubgroupRef) -> bool:

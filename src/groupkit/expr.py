@@ -32,8 +32,9 @@ from dataclasses import dataclass
 from math import gcd
 from typing import NoReturn, Union
 
-from .construct import Action, actions, cyclic, dihedral, direct_product, holomorph, semidirect
-from .core import GroupTable, Morphism
+from .construct import (
+    Action, actions, cyclic, dihedral, direct_product, holomorph, power_action, semidirect)
+from .core import GroupTable
 from .numth import multiplicative_order
 
 
@@ -330,11 +331,7 @@ def _resolve_action(e: Semidirect, k_table: GroupTable, h_table: GroupTable) -> 
             raise ExprEvalError(
                 f"r^{i} generates an automorphism of order {order} in Aut(Z{m}), "
                 f"which does not divide {n}, so Z{n} cannot act that way")
-        maps = tuple(
-            Morphism(k_table, k_table, tuple(pow(i, t, m) * x % m for x in range(m)))
-            for t in range(n)
-        )
-        return Action(h_group=h_table, k_group=k_table, maps=maps)
+        return power_action(h_table, k_table, i)
     choices = actions(h_table, k_table)
     if not 0 <= spec.j < len(choices):
         raise ExprEvalError(

@@ -14,8 +14,7 @@ from .core import (
     subgroup_generated,
 )
 from ._search import search_morphisms
-from .construct import Action, cyclic, dihedral, direct_product, semidirect
-from .core import identity_morphism
+from .construct import cyclic, dihedral, direct_product, power_action, semidirect
 from .numth import multiplicative_order, totatives
 
 SEMIDIRECT_POOL_LIMIT = 128
@@ -112,14 +111,8 @@ def _semidirect_cyclic_params(order: int):
 
 
 def _build_semidirect_cyclic(m: int, n: int, i: int) -> GroupTable:
-    k = cyclic(m, "r")
-    h = cyclic(n, "s")
-    power = Morphism(k, k, tuple(i * x % m for x in range(m)))
-    maps, cur = [], identity_morphism(k)
-    for _ in range(n):
-        maps.append(cur)
-        cur = Morphism(k, k, tuple(power.image[x] for x in cur.image))
-    return semidirect(k, h, Action(h, k, tuple(maps)))
+    k, h = cyclic(m, "r"), cyclic(n, "s")
+    return semidirect(k, h, power_action(h, k, i))
 
 
 def _basic_pool(order: int):

@@ -161,14 +161,14 @@ class TestLifts:
     def test_zeta_lifts_all_succeed_when_aut_k_is_abelian(self):
         k, h, act = _faithful_action_z4_on_z5()
         g = semidirect(k, h, act)
-        verdicts = [zeta_lift(om, act, g)[1] for om in automorphisms(k)]
+        verdicts = [zeta_lift(om, g)[1] for om in automorphisms(k)]
         assert verdicts == [True, True, True, True]
 
     def test_zeta_candidates_fix_h_coordinate(self):
         k, h, act = _faithful_action_z4_on_z5()
         g = semidirect(k, h, act)
         om = automorphisms(k)[1]
-        candidate, _ = zeta_lift(om, act, g)
+        candidate, _ = zeta_lift(om, g)
         for p in range(g.order):
             assert candidate.image[p] % 4 == p % 4
 
@@ -179,43 +179,53 @@ class TestLifts:
         h = cyclic(2, "s")
         act = next(a for a in actions(h, k) if not a.is_trivial())
         g = semidirect(k, h, act)
-        verdicts = [zeta_lift(om, act, g)[1] for om in automorphisms(k)]
+        verdicts = [zeta_lift(om, g)[1] for om in automorphisms(k)]
         assert sum(verdicts) == 2
 
     def test_zeta_all_succeed_on_direct_products(self):
         k = dihedral(3)
         h = cyclic(2, "s")
-        act = trivial_action(h, k)
-        g = semidirect(k, h, act)
-        assert all(zeta_lift(om, act, g)[1] for om in automorphisms(k))
+        g = semidirect(k, h, trivial_action(h, k))
+        assert all(zeta_lift(om, g)[1] for om in automorphisms(k))
 
     def test_lambda_succeeds_only_when_action_is_preserved(self):
         k, h, act = _faithful_action_z4_on_z5()
         g = semidirect(k, h, act)
-        verdicts = [lambda_lift(d, act, g)[1] for d in automorphisms(h)]
+        verdicts = [lambda_lift(d, g)[1] for d in automorphisms(h)]
         # the action is faithful, so only the identity of Aut(H) preserves it
         assert sorted(verdicts) == [False, True]
 
     def test_lambda_all_succeed_on_direct_products(self):
         k, h = cyclic(5), cyclic(4, "s")
         g = direct_product(k, h)
-        act = trivial_action(h, k)
-        assert all(lambda_lift(d, act, g)[1] for d in automorphisms(h))
+        assert all(lambda_lift(d, g)[1] for d in automorphisms(h))
 
     def test_lift_images_meet_only_at_identity(self):
         k, h, act = _faithful_action_z4_on_z5()
         g = semidirect(k, h, act)
-        zetas = {zeta_lift(om, act, g)[0].image
-                 for om in automorphisms(k) if zeta_lift(om, act, g)[1]}
-        lambdas = {lambda_lift(d, act, g)[0].image
-                   for d in automorphisms(h) if lambda_lift(d, act, g)[1]}
+        zetas = {zeta_lift(om, g)[0].image
+                 for om in automorphisms(k) if zeta_lift(om, g)[1]}
+        lambdas = {lambda_lift(d, g)[0].image
+                   for d in automorphisms(h) if lambda_lift(d, g)[1]}
         assert zetas & lambdas == {tuple(range(g.order))}
 
-    def test_lift_rejects_mismatched_product(self):
-        k, h, act = _faithful_action_z4_on_z5()
-        wrong = direct_product(k, h)
-        with pytest.raises(ValueError):
-            zeta_lift(automorphisms(k)[0], act, wrong)
+    def test_verdicts_match_the_automorphism_list(self):
+        # oracle: a candidate lifts exactly when it is one of the enumerated
+        # automorphisms of the product
+        for m in range(1, 25):
+            k, autos_k = cyclic(m), automorphisms(cyclic(m))
+            for n in range(1, 24 // m + 1):
+                h = cyclic(n, "s")
+                autos_h = automorphisms(h)
+                for act in actions(h, k):
+                    g = semidirect(k, h, act)
+                    auts = {a.image for a in automorphisms(g)}
+                    for om in autos_k:
+                        candidate, ok = zeta_lift(om, g)
+                        assert ok == (candidate.image in auts)
+                    for d in autos_h:
+                        candidate, ok = lambda_lift(d, g)
+                        assert ok == (candidate.image in auts)
 
     def test_lift_rejects_non_automorphism(self):
         from groupkit.core import Morphism
@@ -224,7 +234,20 @@ class TestLifts:
         g = semidirect(k, h, act)
         squash = Morphism(k, k, (0, 0, 0, 0, 0))
         with pytest.raises(ValueError):
-            zeta_lift(squash, act, g)
+            zeta_lift(squash, g)
+        flat = Morphism(h, h, (0, 0, 0, 0))
+        with pytest.raises(ValueError):
+            lambda_lift(flat, g)
+
+    def test_zeta_rejects_k_order_not_dividing_product_order(self):
+        g = direct_product(cyclic(4), cyclic(3, "s"))
+        with pytest.raises(ValueError, match="does not divide"):
+            zeta_lift(automorphisms(cyclic(5))[1], g)
+
+    def test_lambda_rejects_h_order_not_dividing_product_order(self):
+        g = direct_product(cyclic(4), cyclic(3, "s"))
+        with pytest.raises(ValueError, match="does not divide"):
+            lambda_lift(automorphisms(cyclic(5, "s"))[1], g)
 
 
 class TestGeneratingSequence:

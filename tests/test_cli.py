@@ -1,11 +1,14 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import groupkit
 from groupkit.cli import main
 from groupkit.core import to_json_dict
 from groupkit.expr import parse_and_eval
@@ -120,6 +123,14 @@ class TestVerifyPaper:
                    for r in reports)
         assert all(r["status"] in ("pass", "fail", "skipped") for r in reports)
 
+    def test_max_n_bounds_the_characteristic_sweep(self, capsys):
+        assert main(["verify-paper", "--max-n", "6", "--json"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        products = [int(m) * int(n) for m, n in
+                    (r["claim"][len("thm6.4.m="):].split(".n=") for r in reports
+                     if r["claim"].startswith("thm6.4."))]
+        assert products and max(products) <= 6
+
     def test_negative_control_exits_nonzero(self, capsys):
         assert main(["verify-paper", "--max-n", "3", "--negative-control"]) == 1
         out = capsys.readouterr().out
@@ -164,8 +175,12 @@ class TestErrorHandling:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        # run the package these tests import, installed or not
+        package_root = str(Path(groupkit.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "groupkit.cli", "identify", "Z6"],
-            capture_output=True, text=True, check=False)
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
         assert result.stdout.strip() == "Z6"

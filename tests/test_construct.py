@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupkit.aut import aut_group
+from groupkit.aut import aut_group, automorphisms
 from groupkit.construct import (
     Action,
     action_classes,
@@ -15,6 +15,7 @@ from groupkit.construct import (
     hom_set,
     holomorph,
     kh_copies,
+    power_action,
     recognize_split,
     semidirect,
     trivial_action,
@@ -117,6 +118,13 @@ class TestSemidirect:
         k, h, act = _inversion_action(3)
         assert not is_abelian(semidirect(k, h, act))
 
+    def test_power_action_maps_r_to_its_powers(self):
+        k, h = cyclic(5), cyclic(4, "s")
+        act = power_action(h, k, 2)
+        assert [m.image for m in act.maps] == [
+            tuple(2**t * x % 5 for x in range(5)) for t in range(4)]
+        assert power_action(cyclic(2, "s"), k, -1) == _inversion_action(5)[2]
+
     def test_action_validation_rejects_non_automorphism(self):
         k = cyclic(4)
         h = cyclic(2, "s")
@@ -140,6 +148,55 @@ class TestSemidirect:
         double = Morphism(k, k, tuple(2 * x % 5 for x in range(5)))
         with pytest.raises(ValueError):
             Action(h, k, (ident, double))
+
+
+def _all_pairs_action_check(h, maps) -> bool:
+    """The action axioms on every pair of H: maps[e] = id, maps[a*b] = maps[a] o maps[b]."""
+    images = [m.image for m in maps]
+    if images[h.identity] != tuple(range(len(images[0]))):
+        return False
+    return all(images[h.mul[a][b]] == tuple(images[a][x] for x in images[b])
+               for a in range(h.order) for b in range(h.order))
+
+
+_ACTING = [cyclic(n, "s") for n in range(2, 7)] + [
+    dihedral(3), direct_product(cyclic(2, "s"), cyclic(2, "t"))]
+_ACTED_ON = [cyclic(3), cyclic(4), cyclic(5), direct_product(cyclic(2), cyclic(2)), dihedral(3)]
+
+
+class TestActionGeneratorCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_agrees_with_all_pairs_check(self, data):
+        h = data.draw(st.sampled_from(_ACTING))
+        k = data.draw(st.sampled_from(_ACTED_ON))
+        autos = automorphisms(k)
+        if data.draw(st.booleans()):
+            maps = [data.draw(st.sampled_from(autos)) for _ in range(h.order)]
+        else:
+            # an action of any listed group of the same order, read on H's
+            # elements, is often right on some generators and wrong on others
+            twin = data.draw(st.sampled_from([t for t in _ACTING if t.order == h.order]))
+            maps = list(data.draw(st.sampled_from(actions(twin, k))).maps)
+            for i in data.draw(st.lists(st.integers(0, h.order - 1), max_size=2)):
+                maps[i] = data.draw(st.sampled_from(autos))
+        try:
+            Action(h, k, tuple(maps))
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == _all_pairs_action_check(h, maps)
+
+    def test_rejects_a_map_wrong_only_on_the_last_generator(self):
+        # on Z2 x Z2 = <t, s>, t acts trivially and s by an order-4 map: every
+        # product by t is consistent, but maps[s*s] = id != maps[s] o maps[s]
+        k, h = cyclic(5), direct_product(cyclic(2, "s"), cyclic(2, "t"))
+        ident = Morphism(k, k, tuple(range(5)))
+        double = Morphism(k, k, tuple(2 * x % 5 for x in range(5)))
+        maps = (ident, ident, double, double)
+        assert not _all_pairs_action_check(h, maps)
+        with pytest.raises(ValueError):
+            Action(h, k, maps)
 
 
 class TestHomSet:

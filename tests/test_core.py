@@ -18,6 +18,7 @@ from groupkit.core import (
     GroupTable,
     Morphism,
     SizeCapError,
+    SubgroupRef,
     center,
     compose,
     element_order,
@@ -26,7 +27,6 @@ from groupkit.core import (
     image_subgroup,
     is_abelian,
     is_normal,
-    is_subgroup,
     kernel,
     make_table,
     order_spectrum,
@@ -114,6 +114,18 @@ class TestMakeTable:
         with pytest.raises(ValueError):
             make_table([[1, 0], [0, 0]])
 
+    def test_checks_a_given_identity(self):
+        # index 1 is no identity of the order-2 table whose identity is 0
+        with pytest.raises(ValueError):
+            make_table(Z2_MUL, identity=1)
+        with pytest.raises(ValueError):
+            make_table(Z2_MUL, identity=2)
+        assert make_table([[1, 0], [0, 1]], identity=1).inv == (0, 1)
+
+    def test_rejects_element_without_inverse(self):
+        with pytest.raises(ValueError, match="inverse"):
+            make_table([[0, 1], [1, 1]])
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             make_table([[0, 1]])
@@ -184,8 +196,9 @@ class TestSubgroups:
 
     def test_is_subgroup(self):
         g = dihedral(4)
-        assert is_subgroup(g, (0, 2, 4, 6))
-        assert not is_subgroup(g, (0, 2))  # not closed: 2*2 = 4
+        assert SubgroupRef(g, (0, 2, 4, 6)).members == (0, 2, 4, 6)
+        with pytest.raises(ValueError):
+            SubgroupRef(g, (0, 2))  # not closed: 2*2 = 4
 
     def test_normality(self):
         d4 = dihedral(4)
@@ -208,7 +221,7 @@ class TestSubgroups:
         gens = data.draw(st.lists(st.integers(0, g.order - 1), min_size=0, max_size=3))
         h = subgroup_generated(g, gens)
         assert g.order % len(h) == 0
-        assert is_subgroup(g, h.members)
+        SubgroupRef(g, h.members)
 
     def test_two_commuting_involutions_span_a_klein_subgroup(self):
         # x, y of order 2 with xy = yx and distinct generate a 4-element subgroup

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import log
 
 from .core import (
     GroupTable,
@@ -13,27 +15,33 @@ from .core import (
     make_table,
 )
 from ._search import generating_sequence, search_morphisms
+from .numth import factorize
 
 DEFAULT_AUT_CAP = 10_000
 
 
-def _elementary_abelian_projection(g: GroupTable) -> int | None:
-    """Projected |Aut| when G is elementary abelian (Z_p^m), else None."""
-    if g.order == 1 or not is_abelian(g):
-        return None
-    orders = {d for x, d in enumerate(g.orders) if x != g.identity}
-    if len(orders) != 1:
-        return None
-    p = orders.pop()
-    size, m = g.order, 0
-    while size % p == 0 and size > 1:
-        size //= p
-        m += 1
-    if size != 1:
+def _abelian_aut_count(g: GroupTable) -> int | None:
+    """|Aut G| when G is abelian, else None.
+
+    In the p-part Z_{p^e_1} x ... x Z_{p^e_k}, p^(sum_i min(e_i, j)) elements
+    have order dividing p^j; the steps of that exponent count the e_i >= j.
+    |Aut| is the product over p of Hillar & Rhea's count ("Automorphisms of
+    finite abelian groups", Amer. Math. Monthly 114, 2007).
+    """
+    if not is_abelian(g):
         return None
     total = 1
-    for x in range(m):
-        total *= p**m - p**x
+    for p, m in factorize(g.order).factors:
+        at_least, below = [], 0
+        for j in range(1, m + 1):
+            exponent = round(log(sum(1 for d in g.orders if p**j % d == 0), p))
+            at_least.append(exponent - below)
+            below = exponent
+        es = sorted(sum(1 for r in at_least if r >= i) for i in range(1, at_least[0] + 1))
+        k = len(es)
+        for j, e in enumerate(es):
+            d, c = bisect_right(es, e), bisect_left(es, e) + 1
+            total *= (p**d - p**j) * p ** (e * (k - d) + (e - 1) * (k - c + 1))
     return total
 
 
@@ -41,14 +49,13 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[Morphism]:
     """All automorphisms of G, sorted lexicographically by image array.
 
     Backtracks over order-preserving generator images with forced-assignment
-    pruning. Refuses up front when the projected count for an elementary
-    abelian input already exceeds the cap, since those blow up fastest
-    (the count is prod over x < m of p^m - p^x).
+    pruning. Refuses up front when G is abelian and its count, known in
+    closed form, already exceeds the cap, since those blow up fastest.
     """
-    projected = _elementary_abelian_projection(g)
+    projected = _abelian_aut_count(g)
     if projected is not None and projected > cap:
         raise SizeCapError(
-            f"elementary abelian group of order {g.order} has {projected} "
+            f"abelian group of order {g.order} has {projected} "
             f"automorphisms, beyond the cap of {cap}; raise the cap to enumerate")
     return [Morphism(g, g, img)
             for img in search_morphisms(g, g, injective=True, exact_order=True, cap=cap)]
@@ -68,28 +75,21 @@ class AutGroup:
 
 
 def _aut_names(g: GroupTable, autos: list[Morphism]) -> list[str]:
-    gens = generating_sequence(g)
-    names = []
-    ident = tuple(range(g.order))
-    for a in autos:
-        if a.image == ident:
-            names.append("id")
-        else:
-            names.append("(" + ", ".join(
-                f"{g.elem_names[x]}↦{g.elem_names[a.image[x]]}" for x in gens) + ")")
-    return names
+    gens, ident = generating_sequence(g), tuple(range(g.order))
+    return ["id" if a.image == ident else "(" + ", ".join(
+        f"{g.elem_names[x]}↦{g.elem_names[a.image[x]]}" for x in gens) + ")" for a in autos]
 
 
 def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     """Aut(G) as a group table; identity map lands at index 0."""
     autos = automorphisms(g, cap=cap)
-    index_of = {a.image: i for i, a in enumerate(autos)}
-    k = len(autos)
-    mul = []
-    for a in autos:
-        ia = a.image
-        mul.append(tuple(index_of[tuple(ia[x] for x in b.image)] for b in autos))
-    table = make_table(mul, _aut_names(g, autos), identity=index_of[tuple(range(g.order))])
+    # an automorphism is fixed by its images of the generators
+    gens = generating_sequence(g)
+    keys = [tuple(a.image[x] for x in gens) for a in autos]
+    index_of = {key: i for i, key in enumerate(keys)}
+    mul = [tuple(index_of[tuple(ia[y] for y in key)] for key in keys)
+           for ia in (a.image for a in autos)]
+    table = make_table(mul, _aut_names(g, autos), identity=index_of[tuple(gens)])
     return AutGroup(g, tuple(autos), table)
 
 
@@ -98,11 +98,7 @@ def is_characteristic(g: GroupTable, c: SubgroupRef, cap: int = DEFAULT_AUT_CAP)
     if c.parent != g:
         raise ValueError("subgroup belongs to a different parent group")
     members = set(c.members)
-    for a in automorphisms(g, cap=cap):
-        img = a.image
-        if {img[x] for x in members} != members:
-            return False
-    return True
+    return all({a.image[x] for x in members} == members for a in automorphisms(g, cap=cap))
 
 
 def _factor_order(auto: Morphism, product: GroupTable, factor: str) -> int:

@@ -9,6 +9,8 @@ not merely isomorphic to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from . import aut as _aut
 from .core import (
@@ -103,11 +105,9 @@ def cyclic(n: int, gen: str = "r", size_cap: int = DEFAULT_SIZE_CAP) -> GroupTab
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     if n > size_cap:
         raise SizeCapError(f"order {n} exceeds size cap {size_cap}")
-    mul = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    names = ["e"]
-    if n > 1:
-        names.append(gen)
-        names.extend(f"{gen}^{i}" for i in range(2, n))
+    cells = tuple(range(n)) * 2
+    mul = tuple(cells[a:a + n] for a in range(n))
+    names = ["e", gen][:n] + [f"{gen}^{i}" for i in range(2, n)]
     return make_table(mul, names, identity=0)
 
 
@@ -115,9 +115,7 @@ def _pair_names(k: GroupTable, h: GroupTable) -> tuple[str, ...]:
     names = []
     for kk in range(k.order):
         for hh in range(h.order):
-            if kk == k.identity and hh == h.identity:
-                names.append(k.elem_names[k.identity])
-            elif hh == h.identity:
+            if hh == h.identity:
                 names.append(k.elem_names[kk])
             elif kk == k.identity:
                 names.append(h.elem_names[hh])
@@ -134,17 +132,20 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
     order = k.order * h.order
     if order > size_cap:
         raise SizeCapError(f"order {order} exceeds size cap {size_cap}")
-    no_h, kmul, hmul = h.order, k.mul, h.mul
-    images = [m.image for m in action.maps]
+    no_h = h.order
+    cells = tuple(range(order))
+    segments = [cells[c * no_h:(c + 1) * no_h] for c in range(k.order)]
+    # (k1, h1) = (k1, e)(e, h1), so row (k1, h1) is row (k1, e) read at row (e, h1)
+    h_reads = []
+    for m, hrow in zip(action.maps, h.mul):
+        blocks = [tuple(map(seg.__getitem__, hrow)) for seg in segments]
+        h_reads.append(itemgetter(*chain.from_iterable(map(blocks.__getitem__, m.image))))
     mul = []
-    for k1 in range(k.order):
-        row_base = kmul[k1]
-        for h1 in range(no_h):
-            act = images[h1]
-            hrow = hmul[h1]
-            mul.append(tuple(row_base[act[k2]] * no_h + hrow[h2]
-                             for k2 in range(k.order) for h2 in range(no_h)))
-    return make_table(mul, _pair_names(k, h), identity=k.identity * no_h + h.identity)
+    for row in k.mul:
+        k_row = tuple(chain.from_iterable(map(segments.__getitem__, row)))
+        mul.extend(read(k_row) for read in h_reads)
+    return make_table(mul if order > 1 else [(0,)], _pair_names(k, h),
+                      identity=k.identity * no_h + h.identity)
 
 
 def direct_product(k: GroupTable, h: GroupTable,

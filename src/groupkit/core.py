@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Sequence, Union
 
 DEFAULT_SIZE_CAP = 4096
@@ -214,16 +214,18 @@ def _identity_and_inverses(mul: Sequence[Sequence[int]], identity: int | None,
                 return AxiomVerdict(False, "identity", (identity, x),
                                     f"mul[{identity}][{x}] or mul[{x}][{identity}] != {x}")
     inv = []
-    for x, row in enumerate(mul):
+    for x, row in enumerate(map(tuple, mul)):
         if claimed_inv is not None:
             y = claimed_inv[x]
             if not 0 <= y < n or row[y] != identity or mul[y][x] != identity:
                 return AxiomVerdict(False, "inverses", (x, y),
                                     f"claimed inverse {y} of {x} fails")
         else:
-            y = next((y for y, v in enumerate(row) if v == identity and mul[y][x] == identity),
-                     None)
-            if y is None:
+            try:
+                y = row.index(identity)
+                while mul[y][x] != identity:
+                    y = row.index(identity, y + 1)
+            except ValueError:
                 return AxiomVerdict(False, "inverses", (x,),
                                     f"element {x} has no two-sided inverse")
         inv.append(y)
@@ -281,13 +283,15 @@ def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                identity: int | None = None) -> GroupTable:
     """Build a GroupTable from a mul array, deriving identity and inverses.
 
-    Checks the given identity, or finds one, and finds a two-sided inverse of
-    every element; run verify_group_axioms for the full (cubic-time) check.
+    Checks that every entry lies in 0..n-1, checks the given identity or finds
+    one, and finds each two-sided inverse; verify_group_axioms is the full check.
     """
     n = len(mul)
     rows = tuple(tuple(r) for r in mul)
     if any(len(r) != n for r in rows):
         raise ValueError("mul array is not square")
+    if not set(range(n)).issuperset(chain.from_iterable(rows)):
+        raise ValueError(f"mul array has an entry outside 0..{n - 1}")
     found = _identity_and_inverses(rows, identity)
     if isinstance(found, AxiomVerdict):
         raise ValueError(found.detail)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, reduce
+from itertools import chain, product
+from math import isqrt, lcm
 
 from .core import (
     GroupTable,
@@ -15,7 +18,7 @@ from .core import (
 )
 from ._search import search_morphisms
 from .construct import cyclic, dihedral, direct_product, power_action, semidirect
-from .numth import multiplicative_order, totatives
+from .numth import euler_phi, multiplicative_order, totatives
 
 SEMIDIRECT_POOL_LIMIT = 128
 
@@ -75,10 +78,7 @@ def abelian_invariants(g: GroupTable) -> list[int]:
         if b % a:
             raise RuntimeError(f"internal error: invariant chain {invs} is not a divisor chain")
     if invs:
-        rebuilt = cyclic(invs[0])
-        for d in invs[1:]:
-            rebuilt = direct_product(rebuilt, cyclic(d))
-        if are_isomorphic(g, rebuilt) is None:
+        if are_isomorphic(g, reduce(direct_product, map(cyclic, invs))) is None:
             raise RuntimeError(f"internal error: reconstruction from {invs} failed")
     return invs
 
@@ -93,64 +93,51 @@ class CatalogName:
     display: str
 
 
-def _semidirect_cyclic_params(order: int):
-    """(m, n, i) triples with m*n = order, ascending, nontrivial action."""
-    for m in range(2, order // 2 + 1):
-        if order % m:
-            continue
-        n = order // m
-        if n < 2:
-            continue
-        for i in totatives(m):
-            if i == 1:
+def _basic_pool(order: int):
+    """Catalog names of one order that are not products, cheapest first."""
+    yield CatalogName("cyclic", (order,), f"Z{order}")
+    if order % 2 == 0 and order // 2 >= 3:
+        yield CatalogName("dihedral", (order // 2,), f"D{order // 2}")
+    if order <= SEMIDIRECT_POOL_LIMIT:
+        for m in range(2, order // 2 + 1):
+            if order % m:
                 continue
-            # the action sends the K generator to its i-th power; its order
-            # (multiplicative order of i mod m) must divide |H| = n
-            if n % multiplicative_order(i, m) == 0:
-                yield m, n, i
+            n = order // m
+            # r -> r^i needs i coprime to m, i != 1, and its order mod m dividing |H| = n
+            for i in totatives(m)[1:]:
+                if n % multiplicative_order(i, m) == 0:
+                    yield CatalogName("semidirect-cyclic", (m, n, i), f"Z{m} : Z{n} [r^{i}]")
 
 
-def _build_semidirect_cyclic(m: int, n: int, i: int) -> GroupTable:
+def _build(name: CatalogName) -> GroupTable:
+    """The table of a name from _basic_pool."""
+    if name.kind == "cyclic":
+        return cyclic(name.params[0])
+    if name.kind == "dihedral":
+        return dihedral(name.params[0])
+    m, n, i = name.params
     k, h = cyclic(m, "r"), cyclic(n, "s")
     return semidirect(k, h, power_action(h, k, i))
 
 
-def _basic_pool(order: int):
-    """Non-product catalog candidates of a given order, cheapest first."""
-    yield CatalogName("cyclic", (order,), f"Z{order}"), lambda: cyclic(order)
-    if order % 2 == 0 and order // 2 >= 3:
-        half = order // 2
-        yield CatalogName("dihedral", (half,), f"D{half}"), lambda: dihedral(half)
-    if order <= SEMIDIRECT_POOL_LIMIT:
-        for m, n, i in _semidirect_cyclic_params(order):
-            yield (CatalogName("semidirect-cyclic", (m, n, i), f"Z{m} : Z{n} [r^{i}]"),
-                   lambda m=m, n=n, i=i: _build_semidirect_cyclic(m, n, i))
+def _spectrum(name: CatalogName) -> dict[int, int]:
+    """The order spectrum of a name from _basic_pool, in closed form unless semidirect."""
+    if name.kind == "semidirect-cyclic":
+        return order_spectrum(_build(name))
+    k = name.params[0]  # D_k adds k reflections of order 2 to the rotations Z_k
+    spec = {d: euler_phi(d) for d in range(1, k + 1) if k % d == 0}
+    return spec if name.kind == "cyclic" else {**spec, 2: spec.get(2, 0) + k}
 
 
-def _full_pool(order: int):
-    """Basic candidates plus two-factor products, recursively."""
-    yield from _basic_pool(order)
-    d1 = 2
-    while d1 * d1 <= order:
-        if order % d1 == 0:
-            for name_a, build_a in _basic_pool(d1):
-                for name_b, build_b in _full_pool(order // d1):
-                    factors = _factors_of(name_a) + _factors_of(name_b)
-                    factors.sort(key=lambda f: (f[0], f[1]))
-                    display = " x ".join(f[1] for f in factors)
-                    params = tuple(f[0] for f in factors)
-                    yield (CatalogName("product-of-named", params, display),
-                           lambda a=build_a, b=build_b: direct_product(a(), b()))
-        d1 += 1
-
-
-def _factors_of(name: CatalogName) -> list[tuple[int, str]]:
-    if name.kind == "product-of-named":
-        return list(zip(name.params, name.display.split(" x ")))
-    order = name.params[0] if name.kind != "semidirect-cyclic" else name.params[0] * name.params[1]
-    if name.kind == "dihedral":
-        order = 2 * name.params[0]
-    return [(order, name.display)]
+def _products(order: int):
+    """Lists [(order, basic name), ...] of two or more factors: for each divisor d,
+    d*d <= order, ascending, each basic a of order d times each basic, then each
+    product, of order // d."""
+    for d in range(2, isqrt(order) + 1):
+        if order % d == 0:
+            for a in _basic_pool(d):
+                yield from ([(d, a), (order // d, b)] for b in _basic_pool(order // d))
+                yield from ([(d, a), *rest] for rest in _products(order // d))
 
 
 def identify(g: GroupTable) -> CatalogName:
@@ -160,6 +147,10 @@ def identify(g: GroupTable) -> CatalogName:
     of named groups, cyclic-by-cyclic semidirect product (order <= 128,
     smallest (m, n, i) wins), otherwise unidentified. Matching is by
     are_isomorphic, so the answer only depends on the isomorphism type.
+
+    One loop walks the candidates in that order. Each multiset of factors is
+    tried once; its spectrum is folded from theirs, as o((a, b)) = lcm(o(a), o(b)),
+    and a table is built and searched only when it is G's. Neither skip changes the answer.
     """
     n = g.order
     if max(g.orders) == n:
@@ -167,20 +158,26 @@ def identify(g: GroupTable) -> CatalogName:
     if is_abelian(g):
         invs = tuple(abelian_invariants(g))
         return CatalogName("abelian-product", invs, " x ".join(f"Z{d}" for d in invs))
-    if n % 2 == 0 and n // 2 >= 3 and are_isomorphic(g, dihedral(n // 2)):
-        return CatalogName("dihedral", (n // 2,), f"D{n // 2}")
-    spec = order_spectrum(g)
-    for name, build in _full_pool(n):
-        if name.kind != "product-of-named":
+    basics = list(_basic_pool(n))
+    candidates = chain(([(n, b)] for b in basics if b.kind == "dihedral"), _products(n),
+                       ([(n, b)] for b in basics if b.kind == "semidirect-cyclic"))
+    spec, tried = order_spectrum(g), set()
+    spectrum = cache(_spectrum)
+    for factors in candidates:
+        factors.sort(key=lambda f: (f[0], f[1].display))
+        names = tuple(name for _, name in factors)
+        if names in tried:
             continue
-        candidate = build()
-        if order_spectrum(candidate) == spec and are_isomorphic(g, candidate):
-            return name
-    if n <= SEMIDIRECT_POOL_LIMIT:
-        for m, nn, i in _semidirect_cyclic_params(n):
-            candidate = _build_semidirect_cyclic(m, nn, i)
-            if order_spectrum(candidate) != spec:
-                continue
-            if are_isomorphic(g, candidate):
-                return CatalogName("semidirect-cyclic", (m, nn, i), f"Z{m} : Z{nn} [r^{i}]")
+        tried.add(names)
+        joint = {1: 1}
+        for name in names:
+            step: dict[int, int] = {}
+            for (a, x), (b, y) in product(joint.items(), spectrum(name).items()):
+                c = lcm(a, b)
+                step[c] = step.get(c, 0) + x * y
+            joint = step
+        if joint == spec and are_isomorphic(g, reduce(direct_product, map(_build, names))):
+            return names[0] if len(names) == 1 else CatalogName(
+                "product-of-named", tuple(d for d, _ in factors),
+                " x ".join(name.display for name in names))
     return CatalogName("unidentified", (n,), f"unidentified (order {n})")

@@ -28,6 +28,7 @@ from groupkit.core import (
     subgroup_generated,
     verify_group_axioms,
 )
+from groupkit.expr import parse_and_eval
 from groupkit.iso import are_isomorphic
 from groupkit.numth import euler_phi
 from groupkit._search import generating_sequence
@@ -94,6 +95,15 @@ class TestAutGroup:
                 composed = tuple(a.image[b.image[x]] for x in range(6))
                 assert ag.elements[ag.table.mul[i][j]].image == composed
 
+    @pytest.mark.parametrize("expr", ["Z1", "Z2", "Z256", "D16", "Z8 x Z2 x Z2"])
+    def test_table_equals_full_image_composition(self, expr):
+        ag = aut_group(parse_and_eval(expr))
+        index_of = {a.image: i for i, a in enumerate(ag.elements)}
+        mul = tuple(tuple(index_of[tuple(a.image[x] for x in b.image)] for b in ag.elements)
+                    for a in ag.elements)
+        assert ag.table.mul == mul
+        assert ag.table.identity == index_of[tuple(range(ag.base.order))]
+
     def test_aut_of_klein_four_is_d3(self):
         ag = aut_group(direct_product(cyclic(2), cyclic(2)))
         assert are_isomorphic(ag.table, dihedral(3)) is not None
@@ -128,6 +138,20 @@ class TestElementaryAbelianCap:
     def test_search_cap_applies_to_general_groups(self):
         with pytest.raises(SizeCapError):
             automorphisms(dihedral(6), cap=5)
+
+    @pytest.mark.parametrize("factors", [
+        [2], [9], [2, 2], [2, 4], [4, 4], [2, 2, 4], [2, 8], [3, 9], [4, 6], [6, 6], [2, 4, 4],
+    ])
+    def test_abelian_refusal_names_the_enumerated_count(self, factors):
+        g = parse_and_eval(" x ".join(f"Z{f}" for f in factors))
+        count = len(automorphisms(g))
+        with pytest.raises(SizeCapError, match=f"has {count} automorphisms"):
+            automorphisms(g, cap=count - 1)
+
+    def test_refuses_a_non_elementary_abelian_group_before_searching(self):
+        # |Aut(Z2^3 x Z4)| = 21504 (Hillar & Rhea); the search would stop at 10,001
+        with pytest.raises(SizeCapError, match="has 21504 automorphisms"):
+            automorphisms(parse_and_eval("Z2 x Z2 x Z2 x Z4"))
 
 
 class TestCharacteristic:

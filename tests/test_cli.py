@@ -43,6 +43,12 @@ class TestAut:
         assert main(["aut", "D8"]) == 0
         assert "|Aut| = 32" in capsys.readouterr().out
 
+    def test_order_384_aut_is_named(self, capsys):
+        # identify of this Aut table once ran for over a minute
+        assert main(["aut", "Z8 x Z2 x Z2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "|Aut| = 384", "Aut identifies as: unidentified (order 384)"]
+
     def test_json_emits_cayley_table(self, capsys):
         assert main(["aut", "Z5", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

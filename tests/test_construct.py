@@ -24,6 +24,7 @@ from groupkit.core import (
     Morphism,
     SizeCapError,
     is_abelian,
+    make_table,
     subgroup_generated,
     verify_group_axioms,
 )
@@ -349,6 +350,30 @@ class TestRecognizeSplit:
         witness = recognize_split(g, kcopy)
         assert witness is not None
         assert witness.action.is_trivial()
+
+
+def _shifted(g):
+    """g relabelled by x -> x + 1 mod |g|, so its identity is not at 0."""
+    n = g.order
+    return make_table([[(g.mul[(a - 1) % n][(b - 1) % n] + 1) % n for b in range(n)]
+                       for a in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_semidirect_table_follows_the_pair_formula(data):
+    k = data.draw(st.sampled_from(_ACTED_ON + [cyclic(1), _shifted(dihedral(3))]))
+    h = data.draw(st.sampled_from(_ACTING + [cyclic(1, "s"), _shifted(cyclic(4, "s"))]))
+    a = data.draw(st.sampled_from(actions(h, k)))
+    g = semidirect(k, h, a)
+    n_h = h.order
+    assert g.identity == k.identity * n_h + h.identity
+    for k1 in range(k.order):
+        for h1 in range(n_h):
+            image = a.maps[h1].image
+            assert g.mul[k1 * n_h + h1] == tuple(
+                k.mul[k1][image[k2]] * n_h + h.mul[h1][h2]
+                for k2 in range(k.order) for h2 in range(n_h))
 
 
 @settings(max_examples=30, deadline=None)

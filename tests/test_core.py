@@ -126,6 +126,18 @@ class TestMakeTable:
         with pytest.raises(ValueError, match="inverse"):
             make_table([[0, 1], [1, 1]])
 
+    def test_inverse_is_the_lowest_two_sided_one(self):
+        # row 2 holds the identity at 1 and 2, but only 2 * 2 = e on both sides
+        assert make_table([[0, 1, 2], [1, 0, 2], [2, 0, 0]]).inv == (0, 1, 2)
+
+    def test_rejects_entries_outside_the_index_range(self):
+        with pytest.raises(ValueError, match="outside"):
+            make_table([[0, 1, 2], [1, 2, 0], [2, 0, 9]])
+        with pytest.raises(ValueError, match="outside"):
+            make_table([[0, 1], [1, -1]])
+        with pytest.raises(ValueError, match="identity"):
+            make_table([])
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             make_table([[0, 1]])

@@ -2,13 +2,15 @@
 
 import math
 import random
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupkit.aut import aut_group
 from groupkit.construct import actions, cyclic, dihedral, direct_product, holomorph, semidirect
-from groupkit.core import GroupTable, make_table
+from groupkit.core import GroupTable, is_abelian, make_table
 from groupkit.expr import parse_and_eval, parse_expr
 from groupkit.iso import CatalogName, abelian_invariants, are_isomorphic, identify
 
@@ -140,6 +142,13 @@ class TestIdentify:
             (direct_product(cyclic(2), dihedral(4)), "Z2 x D4"),
             (direct_product(cyclic(3), dihedral(4)), "Z3 x D4"),
             (holomorph(5), "Z5 : Z4 [r^2]"),
+            # a product beats the semidirect family, at odd order too
+            (parse_and_eval("Z21 : Z3 [r^4]"), "Z3 x Z7 : Z3 [r^2]"),
+            (parse_and_eval("Z15 : Z2 [r^4]"), "Z3 x D5"),
+            (parse_and_eval("Z2 x Z3 x D3"), "Z2 x Z3 : Z6 [r^2]"),
+            (aut_group(holomorph(8)).table, "D4 x D4"),
+            # factors of one order are listed by display, not by pool order
+            (parse_and_eval("Z8 x D4"), "D4 x Z8"),
         ],
     )
     def test_known_displays(self, g, display):
@@ -189,3 +198,69 @@ class TestIdentify:
         # the lexicographically smallest parameter triple
         g = parse_and_eval("Z5 : Z4 [r^3]")
         assert identify(g).display == "Z5 : Z4 [r^2]"
+
+
+def _reference_basics(order: int) -> list[CatalogName]:
+    """The catalog's non-product names of one order."""
+    basics = [CatalogName("cyclic", (order,), f"Z{order}")]
+    if order % 2 == 0 and order >= 6:
+        basics.append(CatalogName("dihedral", (order // 2,), f"D{order // 2}"))
+    if order <= 128:
+        for m in range(2, order // 2 + 1):
+            n = order // m
+            if order % m == 0 and n >= 2:
+                basics += [CatalogName("semidirect-cyclic", (m, n, i), f"Z{m} : Z{n} [r^{i}]")
+                           for i in range(2, m) if math.gcd(i, m) == 1 and pow(i, n, m) == 1]
+    return basics
+
+
+@cache
+def _reference_products(order: int) -> tuple[tuple[tuple[int, str], ...], ...]:
+    """Factor lists ((order, display), ...) of the catalog's products, in precedence order."""
+    out = []
+    for d in range(2, math.isqrt(order) + 1):
+        if order % d == 0:
+            for a in _reference_basics(d):
+                out += [((d, a.display), (order // d, b.display))
+                        for b in _reference_basics(order // d)]
+                out += [((d, a.display), *rest) for rest in _reference_products(order // d)]
+    return tuple(out)
+
+
+def _reference_identify(g: GroupTable) -> CatalogName:
+    """identify without shortcuts: every candidate is built and searched, in order."""
+    n = g.order
+    if max(g.orders) == n:
+        return CatalogName("cyclic", (n,), f"Z{n}")
+    if is_abelian(g):
+        invs = tuple(abelian_invariants(g))
+        return CatalogName("abelian-product", invs, " x ".join(f"Z{d}" for d in invs))
+    singles = _reference_basics(n)
+    for name in singles:
+        if name.kind == "dihedral" and are_isomorphic(g, parse_and_eval(name.display)):
+            return name
+    for factors in _reference_products(n):
+        factors = sorted(factors)
+        display = " x ".join(d for _, d in factors)
+        if are_isomorphic(g, parse_and_eval(display)):
+            return CatalogName("product-of-named", tuple(o for o, _ in factors), display)
+    for name in singles:
+        if name.kind == "semidirect-cyclic" and are_isomorphic(g, parse_and_eval(name.display)):
+            return name
+    return CatalogName("unidentified", (n,), f"unidentified (order {n})")
+
+
+def _sweep_groups():
+    """Every Z_m : Z_n built from actions with m*n <= 40, and Aut of each up to order 24."""
+    groups = []
+    for m in range(2, 21):
+        for n in range(2, 40 // m + 1):
+            k, h = cyclic(m, "r"), cyclic(n, "s")
+            groups += [semidirect(k, h, a) for a in actions(h, k)]
+    groups += [aut_group(g).table for g in groups if g.order <= 24]
+    return groups
+
+
+def test_identify_matches_the_reference_walk():
+    for g in _sweep_groups():
+        assert identify(g) == _reference_identify(g)

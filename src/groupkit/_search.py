@@ -1,9 +1,13 @@
 """Backtracking search for structure-preserving maps between Cayley tables.
 
 Shared engine behind hom_set, automorphism enumeration and isomorphism
-search: pick a minimal generating sequence of the source, try order-
-compatible images for each generator, force the rest of the map by closing
-under products, and verify surviving candidates on the generator rows.
+search. It picks the source's cached generating sequence, tries each
+order-compatible image for one generator per level, and lets that level's
+extension plan force the images of the elements the generator adds. The
+plans assign every non-identity element exactly once, so a level writes its
+images straight into one array and nothing is ever undone: a deeper level
+only overwrites its own entries. Complete candidates are checked on the
+generator rows by respects_products.
 """
 
 from __future__ import annotations
@@ -20,58 +24,37 @@ def search_morphisms(
     src: GroupTable,
     tgt: GroupTable,
     *,
-    injective: bool,
-    exact_order: bool,
+    bijective: bool,
     first_only: bool = False,
     cap: int | None = None,
 ) -> list[tuple[int, ...]]:
     """Image arrays of all maps src -> tgt respecting mul on every pair.
 
-    Generator images are filtered by element order (equal when exact_order,
-    divisor otherwise); forced assignments are pruned by the same order rule
-    and, when injective, by image collisions. Complete candidates are checked
-    by respects_products, so the returned maps are genuine homomorphisms
-    (bijective ones when injective). Both tables must be groups; that check
-    relies on it, and verify_group_axioms checks it for tables from
-    make_table. Sorted lexicographically by image array unless first_only.
+    Every image must have an order dividing its source element's order; when
+    bijective, the orders must be equal and no two elements may share an
+    image, so each level prunes on a collision with the images of the levels
+    above it (`used`) or of its own (`new`). That pruning loses no answer and
+    proves none: a homomorphism that keeps every element's order has a
+    trivial kernel, so it is injective anyway, and respects_products at the
+    leaf still decides which candidates are returned. Both tables must be
+    groups; that check relies on it, and verify_group_axioms checks it for
+    tables from make_table. Sorted lexicographically by image array unless
+    first_only.
     """
     n, m = src.order, tgt.order
-    if injective and n != m:
+    if bijective and n != m:
         return []
     gens, plans = src.gens_and_plans
-    src_orders, tgt_orders = src.orders, tgt.orders
-    if exact_order:
+    src_orders, tgt_orders, tmul = src.orders, tgt.orders, tgt.mul
+    if bijective:
         candidates = [[w for w in range(m) if tgt_orders[w] == src_orders[x]] for x in gens]
     else:
         candidates = [[w for w in range(m) if src_orders[x] % tgt_orders[w] == 0] for x in gens]
-
-    tmul = tgt.mul
     img = [-1] * n
-    used = [False] * m
-    trail: list[int] = []
-
-    def place(z: int, w: int) -> bool:
-        if exact_order:
-            if src_orders[z] != tgt_orders[w]:
-                return False
-        elif src_orders[z] % tgt_orders[w]:
-            return False
-        if injective and used[w]:
-            return False
-        img[z] = w
-        used[w] = True
-        trail.append(z)
-        return True
-
-    def rollback(mark: int) -> None:
-        while len(trail) > mark:
-            z = trail.pop()
-            used[img[z]] = False
-            img[z] = -1
-
+    img[src.identity] = tgt.identity
     results: list[tuple[int, ...]] = []
 
-    def dfs(level: int) -> bool:
+    def dfs(level: int, used: set[int]) -> bool:
         if level == len(gens):
             if respects_products(src, tgt, img):
                 results.append(tuple(img))
@@ -81,23 +64,26 @@ def search_morphisms(
                         "pass a larger cap to continue")
                 return first_only
             return False
+        gen, plan = gens[level], plans[level]
         for w in candidates[level]:
-            mark = len(trail)
-            ok = place(gens[level], w)
-            if ok:
-                for p, x, y in plans[level]:
-                    if not place(p, tmul[img[x]][img[y]]):
-                        ok = False
+            if bijective and w in used:
+                continue
+            img[gen] = w
+            new = {w}
+            for p, x, y in plan:
+                v = img[p] = tmul[img[x]][img[y]]
+                if bijective:
+                    if src_orders[p] != tgt_orders[v] or v in used or v in new:
                         break
-                if ok and dfs(level + 1):
+                    new.add(v)
+                elif src_orders[p] % tgt_orders[v]:
+                    break
+            else:
+                if dfs(level + 1, used | new if bijective else used):
                     return True
-            rollback(mark)
         return False
 
-    img[src.identity] = tgt.identity
-    used[tgt.identity] = True
-    trail.append(src.identity)
-    dfs(0)
+    dfs(0, {tgt.identity})
     if first_only:
         return results[:1]
     results.sort()

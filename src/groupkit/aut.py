@@ -58,7 +58,7 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[Morphism]:
             f"abelian group of order {g.order} has {projected} "
             f"automorphisms, beyond the cap of {cap}; raise the cap to enumerate")
     return [Morphism(g, g, img)
-            for img in search_morphisms(g, g, injective=True, exact_order=True, cap=cap)]
+            for img in search_morphisms(g, g, bijective=True, cap=cap)]
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,7 @@ def kh_copies(k_order: int, h_order: int, product: GroupTable) -> tuple[Subgroup
 def hom_set(h: GroupTable, k: GroupTable, cap: int | None = 100_000) -> list[Morphism]:
     """Every homomorphism H -> K, sorted lexicographically by image array."""
     return [Morphism(h, k, img)
-            for img in search_morphisms(h, k, injective=False, exact_order=False, cap=cap)]
+            for img in search_morphisms(h, k, bijective=False, cap=cap)]
 
 
 def _actions_by_hom(h: GroupTable, k: GroupTable, aut_cap: int):
@@ -198,9 +198,10 @@ def action_classes(h: GroupTable, k: GroupTable, aut_cap: int = 10_000) -> list[
 
     Two actions land in one class when one is the other composed with an
     automorphism of H. Classes are ordered by their smallest member and each
-    class is sorted, so the output is deterministic.
+    class is sorted, so the output is deterministic. aut_cap bounds both
+    Aut(K) and Aut(H).
     """
-    h_autos = search_morphisms(h, h, injective=True, exact_order=True)
+    h_autos = [d.image for d in _aut.automorphisms(h, cap=aut_cap)]
     classes = []
     remaining = dict(_actions_by_hom(h, k, aut_cap))
     while remaining:

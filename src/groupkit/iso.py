@@ -47,7 +47,7 @@ def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:
         return None
     if _derived_size(g1) != _derived_size(g2):
         return None
-    found = search_morphisms(g1, g2, injective=True, exact_order=True, first_only=True)
+    found = search_morphisms(g1, g2, bijective=True, first_only=True)
     if not found:
         return None
     witness = Morphism(g1, g2, found[0])

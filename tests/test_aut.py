@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupkit._search
 from groupkit.aut import (
     DEFAULT_AUT_CAP,
     aut_group,
@@ -71,6 +72,23 @@ class TestAutomorphismCounts:
     @pytest.mark.parametrize("n", range(1, 21))
     def test_cyclic_aut_count_is_phi(self, n):
         assert len(automorphisms(cyclic(n))) == euler_phi(n)
+
+    @pytest.mark.parametrize(
+        "expr, count",
+        [("Hol 7", 42), ("Hol 9", 54), ("Hol 11", 110), ("Z16 : Z4 [r^3]", 128)],
+    )
+    def test_collision_pruning_checks_only_automorphisms_at_the_leaf(
+            self, monkeypatch, expr, count):
+        g = parse_and_eval(expr)  # built first: a holomorph searches Aut(Z_n)
+        real, leaves = groupkit._search.respects_products, []
+
+        def counting(*args):
+            leaves.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(groupkit._search, "respects_products", counting)
+        assert len(automorphisms(g)) == count
+        assert len(leaves) == count
 
     def test_aut_of_cyclic_is_abelian(self):
         for n in (5, 8, 12, 15):

@@ -113,6 +113,12 @@ class TestHoms:
             "class 2: 1 action(s)",
         ]
 
+    def test_actions_honour_the_aut_cap(self, capsys):
+        assert main(["homs", "Z2 x Z2 x Z2 x Z2 x Z2", "Z2", "--actions"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.strip() == "|hom(H, K)| = 32"
+        assert "9999360 automorphisms" in captured.err
+
 
 class TestVerifyPaper:
     def test_small_run_passes(self, capsys):

@@ -222,15 +222,26 @@ class TestHomSet:
         images = [m.image for m in homs]
         assert images == sorted(images)
 
-    def test_complete_against_exhaustive_enumeration(self):
+    @pytest.mark.parametrize(
+        "h, k",
+        [
+            (cyclic(4), cyclic(4)),
+            (direct_product(cyclic(2), cyclic(2)), dihedral(4)),
+            (dihedral(3), direct_product(cyclic(2), cyclic(2))),
+            (cyclic(6), cyclic(3)),
+            (dihedral(4), cyclic(2)),
+            (cyclic(3), dihedral(3)),
+        ],
+        ids=["Z4-Z4", "Z2xZ2-D4", "D3-Z2xZ2", "Z6-Z3", "D4-Z2", "Z3-D3"],
+    )
+    def test_complete_against_exhaustive_enumeration(self, h, k):
         import itertools
 
-        h, k = cyclic(4), cyclic(4)
         expected = set()
-        for image in itertools.product(range(4), repeat=4):
+        for image in itertools.product(range(k.order), repeat=h.order):
             if Morphism(h, k, image).is_homomorphism():
                 expected.add(image)
-        assert {m.image for m in hom_set(h, k)} == expected
+        assert [m.image for m in hom_set(h, k)] == sorted(expected)
 
     def test_cap(self):
         with pytest.raises(SizeCapError):
@@ -269,6 +280,16 @@ class TestActions:
             products = [semidirect(k, h, a) for a in cls]
             for other in products[1:]:
                 assert are_isomorphic(products[0], other) is not None
+
+    def test_classes_honour_the_aut_cap_on_h(self):
+        z2 = cyclic(2)
+        h = direct_product(direct_product(direct_product(direct_product(z2, z2), z2), z2), z2)
+        with pytest.raises(SizeCapError):
+            action_classes(h, z2)  # |Aut(Z2^5)| = 9,999,360, refused before searching
+        with pytest.raises(SizeCapError):
+            action_classes(dihedral(4), cyclic(3), aut_cap=7)  # |Aut(D4)| = 8
+        classes = action_classes(dihedral(4), cyclic(3), aut_cap=8)
+        assert [len(c) for c in classes] == [1, 2, 1]
 
     def test_partition_covers_all_actions(self):
         k, h = cyclic(7), cyclic(6)

@@ -377,6 +377,13 @@ class TestHomomorphismCheck:
         assert m.is_homomorphism() == _respects_all_pairs(m)
 
 
+_PLAN_POOL = _groups_pool() + [
+    _relabelled(g, shift) for g in _groups_pool() for shift in (1, 5)] + [
+    direct_product(direct_product(cyclic(2), cyclic(2)), cyclic(2)),
+    _relabelled(direct_product(dihedral(3), cyclic(3)), 7),
+]
+
+
 class TestDerivedData:
     def test_cached_data_leaves_eq_hash_and_repr_alone(self):
         a, b = dihedral(4), dihedral(4)
@@ -402,6 +409,18 @@ class TestDerivedData:
         seen = len(calls)
         assert automorphisms(g) == first
         assert len(calls) == seen
+
+    @pytest.mark.parametrize("g", _PLAN_POOL)
+    def test_plans_assign_every_element_once_from_earlier_ones(self, g):
+        gens, plans = g.gens_and_plans
+        listed = [g.identity]
+        for gen, plan in zip(gens, plans):
+            listed.append(gen)
+            for p, x, y in plan:
+                assert x in listed and y in listed
+                assert g.mul[x][y] == p
+                listed.append(p)
+        assert sorted(listed) == list(range(g.order))
 
 
 class TestJson:

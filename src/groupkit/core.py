@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 DEFAULT_SIZE_CAP = 4096
@@ -195,7 +196,7 @@ TableCandidate = Union[GroupTable, Sequence[Sequence[int]]]
 
 def _identity_and_inverses(mul: Sequence[Sequence[int]], identity: int | None,
                            claimed_inv: Sequence[int] | None = None):
-    """(identity, inv) of a square mul array, or the AxiomVerdict that fails.
+    """(identity, inv) of a square array of tuple rows, or the AxiomVerdict that fails.
 
     A given identity is checked in O(n), else the lowest two-sided one is
     found; each inverse is the claimed one, checked, else the lowest found.
@@ -214,7 +215,7 @@ def _identity_and_inverses(mul: Sequence[Sequence[int]], identity: int | None,
                 return AxiomVerdict(False, "identity", (identity, x),
                                     f"mul[{identity}][{x}] or mul[{x}][{identity}] != {x}")
     inv = []
-    for x, row in enumerate(map(tuple, mul)):
+    for x, row in enumerate(mul):
         if claimed_inv is not None:
             y = claimed_inv[x]
             if not 0 <= y < n or row[y] != identity or mul[y][x] != identity:
@@ -238,42 +239,48 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
     Accepts a GroupTable (its claimed identity/inv are verified) or a bare
     mul array. Returns the first violated axiom with a concrete witness;
     malformed dimensions are reported distinctly from axiom failures.
+
+    Associativity is Light's test, O(d*n^2): (a*b)*c = a*(b*c) for all a, c
+    and each b in a generating set grown from the identity by grow_closure,
+    which closes under products only. That suffices in any magma: the b that
+    pass form a set A holding e, and for b, b' in A, (a*(bb'))*c = ((a*b)*b')*c
+    = (a*b)*(b'*c) = a*(b*(b'*c)) = a*((bb')*c); so A holds the closure of the
+    generators, the whole table. The witness fails but is not always the first.
     """
-    claimed_inv = None
+    # rows as tuples, which compare equal to the tuples itemgetter returns
     if isinstance(candidate, GroupTable):
-        mul = candidate.mul
-        identity = candidate.identity
-        claimed_inv = candidate.inv
-        n = candidate.order
-        if len(mul) != n:
-            return AxiomVerdict(False, "dimensions", (len(mul),),
-                                f"order says {n} but mul has {len(mul)} rows")
+        mul, n = tuple(map(tuple, candidate.mul)), candidate.order
+        identity, claimed_inv = candidate.identity, candidate.inv
+        for got, part in ((len(mul), "mul has {} rows"), (len(claimed_inv), "inv has {} entries")):
+            if got != n:
+                return AxiomVerdict(False, "dimensions", (got,),
+                                    f"order says {n} but " + part.format(got))
     else:
-        mul = candidate
-        n = len(mul)
+        mul, n, claimed_inv = tuple(map(tuple, candidate)), len(candidate), None
     for i, row in enumerate(mul):
         if len(row) != n:
             return AxiomVerdict(False, "dimensions", (i,),
                                 f"row {i} has length {len(row)}, expected {n}")
-    for a in range(n):
-        for b in range(n):
-            v = mul[a][b]
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                return AxiomVerdict(False, "closure", (a, b),
-                                    f"mul[{a}][{b}] = {v!r} is not an element index")
+    cells = chain.from_iterable
+    if not (set(map(type, cells(mul))) <= {int} and set(range(n)).issuperset(cells(mul))):
+        for a, row in enumerate(mul):  # a bad cell, or only an int subclass
+            for b, v in enumerate(row):
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    return AxiomVerdict(False, "closure", (a, b),
+                                        f"mul[{a}][{b}] = {v!r} is not an element index")
 
     found = _identity_and_inverses(mul, identity, claimed_inv)
     if isinstance(found, AxiomVerdict):
         return found
 
-    for a in range(n):
-        ra = mul[a]
-        for b in range(n):
-            ab = ra[b]
-            rb = mul[b]
-            rab = mul[ab]
-            for c in range(n):
-                if rab[c] != ra[rb[c]]:
+    have = [found[0]]
+    for b in range(n):
+        if b not in have:
+            have = grow_closure(mul, have, b)
+            a_bc = itemgetter(*mul[b])  # a_bc(mul[a])[c] = a*(b*c); n > 1 here
+            for a, ra in enumerate(mul):
+                if mul[ra[b]] != a_bc(ra):
+                    c = next(c for c in range(n) if mul[ra[b]][c] != ra[mul[b][c]])
                     return AxiomVerdict(False, "associativity", (a, b, c),
                                         f"(a*b)*c != a*(b*c) at a={a}, b={b}, c={c}")
     return AxiomVerdict(True)
@@ -397,22 +404,16 @@ def quotient(g: GroupTable, n: SubgroupRef) -> GroupTable:
     if not is_normal(g, n):
         raise ValueError("quotient requires a normal subgroup")
     mul = g.mul
-    coset_of: dict[int, int] = {}
+    seen: set[int] = set()
     cosets: list[tuple[int, ...]] = []
     for x in range(g.order):
-        if x in coset_of:
-            continue
-        cs = tuple(sorted(mul[x][a] for a in n.members))
-        for y in cs:
-            coset_of[y] = len(cosets)
-        cosets.append(cs)
+        if x not in seen:
+            cs = tuple(sorted(mul[x][a] for a in n.members))
+            seen.update(cs)
+            cosets.append(cs)
     # canonical order: identity coset first, the rest sorted by member tuple
-    order_key = sorted(range(len(cosets)),
-                       key=lambda i: (g.identity not in cosets[i], cosets[i]))
-    renum = {old: new for new, old in enumerate(order_key)}
-    cosets = [cosets[i] for i in order_key]
-    coset_of = {x: renum[i] for x, i in coset_of.items()}
-    q = len(cosets)
+    cosets.sort(key=lambda cs: (g.identity not in cs, cs))
+    coset_of = {y: i for i, cs in enumerate(cosets) for y in cs}
     qmul = tuple(tuple(coset_of[mul[cs[0]][ct[0]]] for ct in cosets) for cs in cosets)
     names = tuple(f"[{g.elem_names[cs[0]]}]" for cs in cosets)
     return make_table(qmul, names, identity=0)

@@ -31,7 +31,7 @@ def _abelian_aut_count(g: GroupTable) -> int | None:
     if not is_abelian(g):
         return None
     total = 1
-    for p, m in factorize(g.order).factors:
+    for p, m in factorize(g.order):
         at_least, below = [], 0
         for j in range(1, m + 1):
             exponent = round(log(sum(1 for d in g.orders if p**j % d == 0), p))

@@ -24,7 +24,7 @@ from .core import GroupTable, SizeCapError, center, is_abelian, order_spectrum, 
 from .expr import ExprError, parse_and_eval
 from .iso import are_isomorphic, identify
 from ._search import generating_sequence
-from .verify import VerifyConfig, VerifyReport, report_to_json, run_all
+from .verify import VerifyReport, report_to_json, run_all
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -121,23 +121,8 @@ def _report_line(r: VerifyReport) -> str:
     return f"FAIL  {r.claim_id}  expected: {r.expected}  actual: {r.actual}"
 
 
-def _verify_config(args: argparse.Namespace) -> VerifyConfig:
-    kwargs = {}
-    if args.max_n is not None:
-        n = args.max_n
-        kwargs["table1_max_n"] = n
-        kwargs["mod4_values"] = tuple(v for v in (4, 8, 12) if v <= n)
-        kwargs["dihedral_max_n"] = min(12, n)
-        kwargs["action_equiv_max_m"] = min(12, n)
-        kwargs["action_equiv_max_n"] = min(6, n)
-        kwargs["characteristic_max_order"] = min(60, n)
-    if args.negative_control:
-        kwargs["negative_control"] = True
-    return VerifyConfig(**kwargs)
-
-
 def _cmd_verify_paper(args: argparse.Namespace) -> int:
-    reports, summary = run_all(_verify_config(args))
+    reports, summary = run_all(args.max_n, args.negative_control)
     if args.json:
         print(json.dumps([report_to_json(r) for r in reports]))
     else:

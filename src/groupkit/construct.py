@@ -68,10 +68,6 @@ class Action:
                     raise ValueError(
                         f"action is not a homomorphism: maps[{a}*{b}] != maps[{a}] o maps[{b}]")
 
-    def is_trivial(self) -> bool:
-        ident = tuple(range(self.k_group.order))
-        return all(m.image == ident for m in self.maps)
-
 
 @dataclass(frozen=True)
 class SplitWitness:
@@ -184,7 +180,7 @@ def _actions_by_hom(h: GroupTable, k: GroupTable, aut_cap: int):
         yield hom.image, Action(h, k, tuple(ag.elements[i] for i in hom.image))
 
 
-def actions(h: GroupTable, k: GroupTable, aut_cap: int = 10_000) -> list[Action]:
+def actions(h: GroupTable, k: GroupTable, aut_cap: int = _aut.DEFAULT_AUT_CAP) -> list[Action]:
     """All actions of H on K, one per homomorphism H -> Aut(K).
 
     Deterministic order: lexicographic on the underlying arrays of
@@ -193,7 +189,8 @@ def actions(h: GroupTable, k: GroupTable, aut_cap: int = 10_000) -> list[Action]
     return [a for _, a in _actions_by_hom(h, k, aut_cap)]
 
 
-def action_classes(h: GroupTable, k: GroupTable, aut_cap: int = 10_000) -> list[list[Action]]:
+def action_classes(h: GroupTable, k: GroupTable,
+                   aut_cap: int = _aut.DEFAULT_AUT_CAP) -> list[list[Action]]:
     """Partition actions(H, K) by precomposition with Aut(H).
 
     Two actions land in one class when one is the other composed with an
@@ -211,7 +208,8 @@ def action_classes(h: GroupTable, k: GroupTable, aut_cap: int = 10_000) -> list[
     return classes
 
 
-def holomorph(n: int, size_cap: int = DEFAULT_SIZE_CAP, aut_cap: int = 10_000) -> GroupTable:
+def holomorph(n: int, size_cap: int = DEFAULT_SIZE_CAP,
+              aut_cap: int = _aut.DEFAULT_AUT_CAP) -> GroupTable:
     """Z_n x| Aut(Z_n) under the identity action, order n * phi(n)."""
     k = cyclic(n, size_cap=size_cap)
     ag = _aut.aut_group(k, cap=aut_cap)

@@ -96,9 +96,6 @@ class Morphism:
     target: GroupTable
     image: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
     def is_homomorphism(self) -> bool:
         """True when the image array respects products.
 
@@ -141,14 +138,6 @@ def respects_products(src: GroupTable, tgt: GroupTable, img: Sequence[int]) -> b
 
 def identity_morphism(g: GroupTable) -> Morphism:
     return Morphism(g, g, tuple(range(g.order)))
-
-
-def compose(outer: Morphism, inner: Morphism) -> Morphism:
-    """outer after inner: x -> outer(inner(x))."""
-    if inner.target != outer.source:
-        raise ValueError("composition mismatch: inner.target != outer.source")
-    oi = outer.image
-    return Morphism(inner.source, outer.target, tuple(oi[x] for x in inner.image))
 
 
 @dataclass(frozen=True)
@@ -309,17 +298,19 @@ def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None,
 
 
 def element_order(g: GroupTable, x: int) -> int:
+    """Least k >= 1 with x^k = e; ValueError when no k <= |G| works.
+
+    In a group the order divides |G|, so a table whose powers of x miss the
+    identity for |G| steps is not associative.
+    """
     if not 0 <= x < g.order:
         raise IndexError(f"element index {x} out of range for order-{g.order} group")
-    k, y = 1, x
-    while y != g.identity:
+    y = x
+    for k in range(1, g.order + 1):
+        if y == g.identity:
+            return k
         y = g.mul[y][x]
-        k += 1
-    return k
-
-
-def element_orders(g: GroupTable) -> list[int]:
-    return list(g.orders)
+    raise ValueError(f"powers of element {x} never reach the identity; the table is not a group")
 
 
 def order_spectrum(g: GroupTable) -> dict[int, int]:
@@ -436,10 +427,6 @@ def subgroup_table(g: GroupTable, members: Iterable[int]) -> tuple[GroupTable, t
 def kernel(m: Morphism) -> SubgroupRef:
     e = m.target.identity
     return SubgroupRef(m.source, tuple(x for x in range(m.source.order) if m.image[x] == e))
-
-
-def image_subgroup(m: Morphism) -> SubgroupRef:
-    return SubgroupRef(m.target, tuple(sorted(set(m.image))))
 
 
 def to_json_dict(g: GroupTable) -> dict:

@@ -1,23 +1,8 @@
-"""Integer helpers: gcd/lcm, trial-division factorization, totients, unit orders."""
+"""Integer helpers: trial-division factorization, totients, unit orders."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class FactoredInteger:
-    """n together with its prime factorization, primes ascending."""
-
-    n: int
-    factors: tuple[tuple[int, int], ...]  # (prime, exponent) pairs
-
-    def reconstruct(self) -> int:
-        out = 1
-        for p, k in self.factors:
-            out *= p**k
-        return out
 
 
 def _check_positive(n: int, what: str = "n") -> None:
@@ -27,20 +12,8 @@ def _check_positive(n: int, what: str = "n") -> None:
         raise ValueError(f"{what} must be >= 1, got {n}")
 
 
-def gcd(a: int, b: int) -> int:
-    _check_positive(a, "a")
-    _check_positive(b, "b")
-    return math.gcd(a, b)
-
-
-def lcm(a: int, b: int) -> int:
-    _check_positive(a, "a")
-    _check_positive(b, "b")
-    return math.lcm(a, b)
-
-
-def factorize(n: int) -> FactoredInteger:
-    """Prime factorization by trial division."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization by trial division: (prime, exponent) pairs, primes ascending."""
     _check_positive(n)
     rest = n
     factors = []
@@ -55,14 +28,14 @@ def factorize(n: int) -> FactoredInteger:
         p += 1 if p == 2 else 2
     if rest > 1:
         factors.append((rest, 1))
-    return FactoredInteger(n, tuple(factors))
+    return tuple(factors)
 
 
 def euler_phi(n: int) -> int:
     """Count of 1 <= x <= n with gcd(x, n) = 1."""
     _check_positive(n)
     out = 1
-    for p, k in factorize(n).factors:
+    for p, k in factorize(n):
         out *= p ** (k - 1) * (p - 1)
     return out
 

@@ -7,6 +7,7 @@ so scripts can key on them.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -29,9 +30,21 @@ from .construct import (
     recognize_split,
     semidirect,
 )
-from .aut import aut_group, automorphisms, is_characteristic, lambda_lift, zeta_lift
+from .aut import (
+    DEFAULT_AUT_CAP,
+    aut_group,
+    automorphisms,
+    is_characteristic,
+    lambda_lift,
+    zeta_lift,
+)
 from .iso import are_isomorphic, identify
-from .numth import euler_phi, gcd
+from .numth import euler_phi
+
+# (p, k) pairs of prop4.2 and (p, m) pairs of sec4.2; no sweep bound applies
+PRIME_POWERS = ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
+                (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2))
+ELEMENTARY_ABELIAN = ((2, 2), (2, 3), (3, 2))
 
 
 @dataclass(frozen=True)
@@ -41,22 +54,6 @@ class VerifyReport:
     expected: str
     actual: str
     elapsed_ms: float
-
-
-@dataclass(frozen=True)
-class VerifyConfig:
-    table1_max_n: int = 20
-    mod4_values: tuple[int, ...] = (4, 8, 12)
-    prime_powers: tuple[tuple[int, int], ...] = (
-        (2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
-        (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2))
-    elementary_abelian: tuple[tuple[int, int], ...] = ((2, 2), (2, 3), (3, 2))
-    dihedral_max_n: int = 12
-    action_equiv_max_m: int = 12
-    action_equiv_max_n: int = 6
-    characteristic_max_order: int = 60
-    aut_cap: int = 10_000
-    negative_control: bool = False
 
 
 @dataclass
@@ -107,11 +104,11 @@ def _zn_x_z2(n: int) -> GroupTable:
     return direct_product(cyclic(n), cyclic(2, "s"))
 
 
-def check_table1(max_n: int = 20, aut_cap: int = 10_000) -> list[VerifyReport]:
+def check_table1(max_n: int) -> list[VerifyReport]:
     """|Aut(Z_n x Z_2)| against the phi(n) / 4*phi(n) / 6*phi(n) formula."""
     rec = _Recorder()
     for n in range(2, max_n + 1):
-        got = len(automorphisms(_zn_x_z2(n), cap=aut_cap))
+        got = len(automorphisms(_zn_x_z2(n)))
         rec.add(f"table1.n={n}", _table1_formula(n), got)
     return rec.reports
 
@@ -131,8 +128,7 @@ def _index2_split_subgroup(g: GroupTable, target: GroupTable):
     return None
 
 
-def check_aut_zn_mod4_structure(values: tuple[int, ...] = (4, 8, 12),
-                                aut_cap: int = 10_000) -> list[VerifyReport]:
+def check_aut_zn_mod4_structure(values: tuple[int, ...]) -> list[VerifyReport]:
     """Aut(Z_n x Z_2) for 4 | n splits over a copy of Aut(Z_n) x Z_2.
 
     Also verifies the four named small cases by explicit isomorphism:
@@ -144,7 +140,7 @@ def check_aut_zn_mod4_structure(values: tuple[int, ...] = (4, 8, 12),
         if n % 4 != 0:
             rec.skip(claim, "n divisible by 4", f"n={n} is not divisible by 4")
             continue
-        a = aut_group(_zn_x_z2(n), cap=aut_cap).table
+        a = aut_group(_zn_x_z2(n)).table
         w_target = direct_product(aut_group(cyclic(n)).table, cyclic(2, "s"))
         witness = _index2_split_subgroup(a, w_target)
         rec.add(claim, "split over Aut(Zn) x Z2 found",
@@ -153,26 +149,24 @@ def check_aut_zn_mod4_structure(values: tuple[int, ...] = (4, 8, 12),
              8: direct_product(cyclic(2), dihedral(4))}
     labels = {2: "D3", 4: "D4", 6: "D6", 8: "Z2 x D4"}
     for n, target in named.items():
-        a = aut_group(_zn_x_z2(n), cap=aut_cap).table
+        a = aut_group(_zn_x_z2(n)).table
         ok = are_isomorphic(a, target) is not None
         rec.add(f"sec4.1.n={n}", f"Aut(Z{n} x Z2) ~ {labels[n]}",
                 f"Aut(Z{n} x Z2) ~ {labels[n]}" if ok else "not isomorphic")
     return rec.reports
 
 
-def check_prime_power_aut(pairs=((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)),
-                          aut_cap: int = 10_000) -> list[VerifyReport]:
+def check_prime_power_aut(pairs: tuple[tuple[int, int], ...]) -> list[VerifyReport]:
     """|Aut(Z_{p^k})| = p^k - p^{k-1} by enumeration."""
     rec = _Recorder()
     for p, k in pairs:
         expected = p**k - p ** (k - 1)
-        got = len(automorphisms(cyclic(p**k), cap=aut_cap))
+        got = len(automorphisms(cyclic(p**k)))
         rec.add(f"prop4.2.p={p}.k={k}", expected, got)
     return rec.reports
 
 
-def check_elementary_abelian_aut(pairs=((2, 2), (2, 3), (3, 2)),
-                                 aut_cap: int = 10_000) -> list[VerifyReport]:
+def check_elementary_abelian_aut(pairs: tuple[tuple[int, int], ...]) -> list[VerifyReport]:
     """|Aut(Z_p^m)| = prod over x < m of (p^m - p^x), by full enumeration."""
     rec = _Recorder()
     for p, m in pairs:
@@ -180,23 +174,23 @@ def check_elementary_abelian_aut(pairs=((2, 2), (2, 3), (3, 2)),
         expected = 1
         for x in range(m):
             expected *= p**m - p**x
-        if expected > aut_cap:
-            rec.skip(claim, expected, f"projected count {expected} exceeds cap {aut_cap}")
+        if expected > DEFAULT_AUT_CAP:
+            rec.skip(claim, expected, f"projected count {expected} exceeds cap {DEFAULT_AUT_CAP}")
             continue
         g = cyclic(p)
         for _ in range(m - 1):
             g = direct_product(g, cyclic(p))
-        got = len(automorphisms(g, cap=aut_cap))
+        got = len(automorphisms(g))
         rec.add(claim, expected, got)
     return rec.reports
 
 
-def check_dihedral_aut(max_n: int = 12, aut_cap: int = 10_000) -> list[VerifyReport]:
+def check_dihedral_aut(max_n: int) -> list[VerifyReport]:
     """Aut(D_n) ~ Hol(Z_n) with |Aut(D_n)| = n*phi(n); self-iso iff phi(n)=2."""
     rec = _Recorder()
     for n in range(3, max_n + 1):
         d = dihedral(n)
-        a = aut_group(d, cap=aut_cap).table
+        a = aut_group(d).table
         hol = holomorph(n)
         ok = a.order == n * euler_phi(n) and are_isomorphic(a, hol) is not None
         rec.add(f"thm7.2.n={n}", f"|Aut| = {n * euler_phi(n)}, isomorphic to holomorph",
@@ -212,7 +206,7 @@ def _z8_builds():
     return [semidirect(z8, z2, power_action(z2, z8, i)) for i in (1, 3, 5, 7)]
 
 
-def check_z8_case_study(aut_cap: int = 10_000) -> list[VerifyReport]:
+def check_z8_case_study() -> list[VerifyReport]:
     """The four Z_8 x| Z_2 groups: distinctness, relations, Aut structure."""
     rec = _Recorder()
     rho, sigma, tau, upsilon = _z8_builds()
@@ -235,7 +229,7 @@ def check_z8_case_study(aut_cap: int = 10_000) -> list[VerifyReport]:
     rec.add("remark8.1.upsilon", "isomorphic to D8", "isomorphic to D8"
             if are_isomorphic(upsilon, dihedral(8)) is not None else "not isomorphic to D8")
 
-    auts = [automorphisms(g, cap=aut_cap) for g in groups]
+    auts = [automorphisms(g) for g in groups]
     rec.add("sec8.2.aut-orders", [16, 16, 16, 32], [len(a) for a in auts])
 
     # printed general forms, as sets of (image of r, image of s) index pairs
@@ -260,19 +254,18 @@ def check_z8_case_study(aut_cap: int = 10_000) -> list[VerifyReport]:
     for label, autos, g, thm in (("rho", auts[0], rho, "thm8.2"),
                                  ("sigma", auts[1], sigma, "thm8.3"),
                                  ("tau", auts[2], tau, "thm8.4")):
-        at = aut_group(g, cap=aut_cap).table
+        at = aut_group(g).table
         ok = are_isomorphic(at, z2d4) is not None and identify(at).display == "Z2 x D4"
         rec.add(f"{thm}.{label}", "Aut ~ Z2 x D4", "Aut ~ Z2 x D4" if ok else "mismatch")
 
-    aut_d8 = aut_group(upsilon, cap=aut_cap).table
+    aut_d8 = aut_group(upsilon).table
     witness = _index2_split_subgroup(aut_d8, z2d4)
     rec.add("thm8.5", "Aut(D8) splits over index-2 copy of Z2 x D4",
             "Aut(D8) splits over index-2 copy of Z2 x D4" if witness else "no split found")
     return rec.reports
 
 
-def check_action_equivalence(max_m: int = 12, max_n: int = 6,
-                             aut_cap: int = 10_000) -> list[VerifyReport]:
+def check_action_equivalence(max_m: int, max_n: int) -> list[VerifyReport]:
     """Actions equivalent under precomposition give isomorphic products."""
     rec = _Recorder()
     for m in range(1, max_m + 1):
@@ -280,7 +273,7 @@ def check_action_equivalence(max_m: int = 12, max_n: int = 6,
         for n in range(1, max_n + 1):
             h = cyclic(n, "s")
             ok, detail = True, "all classes uniform"
-            for cls in action_classes(h, k, aut_cap=aut_cap):
+            for cls in action_classes(h, k):
                 builds = [semidirect(k, h, a) for a in cls]
                 for other in builds[1:]:
                     if are_isomorphic(builds[0], other) is None:
@@ -292,12 +285,11 @@ def check_action_equivalence(max_m: int = 12, max_n: int = 6,
 def _coprime_pairs(max_order: int):
     for m in range(2, max_order // 2 + 1):
         for n in range(2, max_order // m + 1):
-            if gcd(m, n) == 1:
+            if math.gcd(m, n) == 1:
                 yield m, n
 
 
-def check_characteristic_theorems(max_order: int = 60,
-                                  aut_cap: int = 10_000) -> list[VerifyReport]:
+def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
     """Coprime-order structure and lift criteria.
 
     Over all coprime cyclic pairs with m*n <= max_order and every action:
@@ -311,13 +303,13 @@ def check_characteristic_theorems(max_order: int = 60,
     rec = _Recorder()
     for m, n in _coprime_pairs(max_order):
         k, h = cyclic(m), cyclic(n, "s")
-        acts = actions(h, k, aut_cap=aut_cap)
-        aut_k = automorphisms(k, cap=aut_cap)
-        aut_h = automorphisms(h, cap=aut_cap)
+        acts = actions(h, k)
+        aut_k = automorphisms(k)
+        aut_h = automorphisms(h)
         char_ok = zeta_ok = lambda_ok = True
         for a in acts:
             g = semidirect(k, h, a)
-            char_ok &= is_characteristic(g, kh_copies(m, n, g)[0], cap=aut_cap)
+            char_ok &= is_characteristic(g, kh_copies(m, n, g)[0])
             # Aut of a cyclic group is abelian, so the image of any action
             # is central and every zeta lift must verify
             zeta_ok &= all(zeta_lift(omega, g)[1] for omega in aut_k)
@@ -327,7 +319,7 @@ def check_characteristic_theorems(max_order: int = 60,
         rec.add(f"thm6.4.m={m}.n={n}", f"Z{m}-copy characteristic in all {len(acts)} products",
                 f"Z{m}-copy characteristic in all {len(acts)} products" if char_ok
                 else "not characteristic somewhere")
-        got = len(automorphisms(direct_product(k, h), cap=aut_cap))
+        got = len(automorphisms(direct_product(k, h)))
         rec.add(f"prop5.3.m={m}.n={n}", euler_phi(m) * euler_phi(n), got)
         rec.add(f"thm6.2.m={m}.n={n}", "central image lifts all omega",
                 "central image lifts all omega" if zeta_ok else "zeta verdict false")
@@ -339,11 +331,11 @@ def check_characteristic_theorems(max_order: int = 60,
     for kn, k, hn, h in (("D3", dihedral(3), "Z5", cyclic(5, "t")),
                          ("D4", dihedral(4), "Z3", cyclic(3, "t"))):
         g = direct_product(k, h)
-        char_ok = is_characteristic(g, kh_copies(k.order, h.order, g)[0], cap=aut_cap)
+        char_ok = is_characteristic(g, kh_copies(k.order, h.order, g)[0])
         rec.add(f"thm6.5.{kn}x{hn}", f"{kn}-copy characteristic",
                 f"{kn}-copy characteristic" if char_ok else "not characteristic")
-        expected = len(automorphisms(k, cap=aut_cap)) * len(automorphisms(h, cap=aut_cap))
-        rec.add(f"prop5.4.{kn}x{hn}", expected, len(automorphisms(g, cap=aut_cap)))
+        expected = len(automorphisms(k)) * len(automorphisms(h))
+        rec.add(f"prop5.4.{kn}x{hn}", expected, len(automorphisms(g)))
 
     battery = (
         ("Z2", cyclic(2), "Z2b", cyclic(2, "s")),
@@ -359,10 +351,9 @@ def check_characteristic_theorems(max_order: int = 60,
     for kn, k, hn, h in battery:
         g = direct_product(k, h)
         kc, hc = kh_copies(k.order, h.order, g)
-        product_count = len(automorphisms(g, cap=aut_cap))
-        factor_count = len(automorphisms(k, cap=aut_cap)) * len(automorphisms(h, cap=aut_cap))
-        both_char = (is_characteristic(g, kc, cap=aut_cap)
-                     and is_characteristic(g, hc, cap=aut_cap))
+        product_count = len(automorphisms(g))
+        factor_count = len(automorphisms(k)) * len(automorphisms(h))
+        both_char = is_characteristic(g, kc) and is_characteristic(g, hc)
         agree = (product_count == factor_count) == both_char
         rec.add(f"cor5.2.{kn}x{hn}",
                 "order factorization iff both copies characteristic",
@@ -387,19 +378,33 @@ def _negative_control_reports() -> list[VerifyReport]:
     return rec.reports
 
 
-def run_all(config: VerifyConfig = VerifyConfig()) -> tuple[list[VerifyReport], RunSummary]:
+def run_all(max_n: int | None = None,
+            negative_control: bool = False) -> tuple[list[VerifyReport], RunSummary]:
+    """Run every section in order and tally the reports.
+
+    Without max_n the sweeps run at their defaults: table1 over n = 2..20,
+    thm4.1 for n in 4, 8, 12, dihedral n = 3..12, action equivalence over
+    m <= 12 and n <= 6, and the characteristic theorems over m*n <= 60.
+    With max_n = N, table1 runs n = 2..N, even past 20; thm4.1 keeps the
+    values <= N; every other sweep bound becomes the smaller of its default
+    and N. The prime-power, elementary-abelian and Z8 sections ignore max_n.
+    negative_control appends two claims built to fail.
+    """
+    def bound(default: int) -> int:
+        return default if max_n is None else min(default, max_n)
+
     t0 = time.perf_counter()
     reports: list[VerifyReport] = []
-    reports += check_table1(config.table1_max_n, config.aut_cap)
-    reports += check_aut_zn_mod4_structure(config.mod4_values, config.aut_cap)
-    reports += check_prime_power_aut(config.prime_powers, config.aut_cap)
-    reports += check_elementary_abelian_aut(config.elementary_abelian, config.aut_cap)
-    reports += check_dihedral_aut(config.dihedral_max_n, config.aut_cap)
-    reports += check_z8_case_study(config.aut_cap)
-    reports += check_action_equivalence(config.action_equiv_max_m,
-                                        config.action_equiv_max_n, config.aut_cap)
-    reports += check_characteristic_theorems(config.characteristic_max_order, config.aut_cap)
-    if config.negative_control:
+    # sections are looked up as module globals, so a caller can wrap them
+    reports += check_table1(20 if max_n is None else max_n)
+    reports += check_aut_zn_mod4_structure(tuple(v for v in (4, 8, 12) if v <= bound(12)))
+    reports += check_prime_power_aut(PRIME_POWERS)
+    reports += check_elementary_abelian_aut(ELEMENTARY_ABELIAN)
+    reports += check_dihedral_aut(bound(12))
+    reports += check_z8_case_study()
+    reports += check_action_equivalence(bound(12), bound(6))
+    reports += check_characteristic_theorems(bound(60))
+    if negative_control:
         reports += _negative_control_reports()
     summary = RunSummary(elapsed_ms=(time.perf_counter() - t0) * 1000.0)
     for r in reports:

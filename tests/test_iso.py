@@ -9,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupkit.aut import aut_group
-from groupkit.construct import actions, cyclic, dihedral, direct_product, holomorph, semidirect
+from groupkit.construct import (
+    actions,
+    cyclic,
+    dihedral,
+    direct_product,
+    holomorph,
+    semidirect,
+    trivial_action,
+)
 from groupkit.core import GroupTable, is_abelian, make_table
 from groupkit.expr import parse_and_eval, parse_expr
 from groupkit.iso import CatalogName, abelian_invariants, are_isomorphic, identify
@@ -166,8 +174,9 @@ class TestIdentify:
     def test_unidentified_groups_report_order(self):
         # the alternating group on 4 letters is none of the catalog shapes
         k = direct_product(cyclic(2), cyclic(2))
-        act = next(a for a in actions(cyclic(3, "s"), k) if not a.is_trivial())
-        a4 = semidirect(k, cyclic(3, "s"), act)
+        h = cyclic(3, "s")
+        act = next(a for a in actions(h, k) if a != trivial_action(h, k))
+        a4 = semidirect(k, h, act)
         name = identify(a4)
         assert name.kind == "unidentified"
         assert name.display == "unidentified (order 12)"

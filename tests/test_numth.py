@@ -7,11 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupkit.numth import (
-    FactoredInteger,
     euler_phi,
     factorize,
-    gcd,
-    lcm,
     multiplicative_order,
     totatives,
 )
@@ -36,13 +33,10 @@ class TestFactorize:
         ],
     )
     def test_known_factorizations(self, n, factors):
-        f = factorize(n)
-        assert isinstance(f, FactoredInteger)
-        assert f.n == n
-        assert f.factors == factors
+        assert factorize(n) == factors
 
     def test_reconstruct(self):
-        assert factorize(360).reconstruct() == 360
+        assert math.prod(p**k for p, k in factorize(360)) == 360
 
     @pytest.mark.parametrize("bad", [0, -4])
     def test_rejects_nonpositive(self, bad):
@@ -56,12 +50,12 @@ class TestFactorize:
     @given(st.integers(min_value=1, max_value=100_000))
     def test_round_trip_and_primality(self, n):
         f = factorize(n)
-        assert f.reconstruct() == n
-        primes = [p for p, _ in f.factors]
+        assert math.prod(p**k for p, k in f) == n
+        primes = [p for p, _ in f]
         assert primes == sorted(primes)
         assert len(set(primes)) == len(primes)
         assert all(_is_prime(p) for p in primes)
-        assert all(k >= 1 for _, k in f.factors)
+        assert all(k >= 1 for _, k in f)
 
 
 class TestEulerPhi:
@@ -112,31 +106,6 @@ class TestTotatives:
         t = totatives(n)
         assert t == sorted(t)
         assert all(1 <= k <= n and math.gcd(k, n) == 1 for k in t)
-
-
-class TestGcdLcm:
-    def test_known_values(self):
-        assert gcd(12, 18) == 6
-        assert lcm(4, 6) == 12
-        assert gcd(7, 14) == 7
-        assert lcm(1, 9) == 9
-
-    def test_rejects_non_integers(self):
-        with pytest.raises(ValueError):
-            gcd(2.5, 3)
-        with pytest.raises(ValueError):
-            lcm("4", 6)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            gcd(0, 5)
-        with pytest.raises(ValueError):
-            lcm(5, -1)
-
-    @given(st.integers(min_value=1, max_value=10_000), st.integers(min_value=1, max_value=10_000))
-    def test_agrees_with_math_module(self, a, b):
-        assert gcd(a, b) == math.gcd(a, b)
-        assert lcm(a, b) == math.lcm(a, b)
 
 
 class TestMultiplicativeOrder:

@@ -1,11 +1,9 @@
 """The claim-by-claim verification suite and its reporting format."""
 
-import dataclasses
-
 import pytest
 
+import groupkit.verify
 from groupkit.verify import (
-    VerifyConfig,
     check_action_equivalence,
     check_aut_zn_mod4_structure,
     check_characteristic_theorems,
@@ -18,16 +16,7 @@ from groupkit.verify import (
     run_all,
 )
 
-SMALL = VerifyConfig(
-    table1_max_n=6,
-    mod4_values=(4,),
-    prime_powers=((2, 1), (2, 2), (3, 1)),
-    elementary_abelian=((2, 2),),
-    dihedral_max_n=6,
-    action_equiv_max_m=6,
-    action_equiv_max_n=4,
-    characteristic_max_order=20,
-)
+SMALL = 6  # the max_n of the CI smoke run
 
 
 class TestIndividualChecks:
@@ -90,20 +79,20 @@ class TestIndividualChecks:
 
 class TestRunAll:
     def test_small_config_all_pass(self):
-        reports, summary = run_all(SMALL)
+        reports, summary = run_all(max_n=SMALL)
         assert summary.failed == 0
         assert summary.ok
         assert summary.passed == len([r for r in reports if r.status == "pass"])
         assert summary.passed + summary.failed + summary.skipped == len(reports)
 
     def test_claim_ids_unique(self):
-        reports, _ = run_all(SMALL)
+        reports, _ = run_all(max_n=SMALL)
         ids = [r.claim_id for r in reports]
         assert len(ids) == len(set(ids))
 
     def test_negative_control_adds_exactly_two_failures(self):
-        base, _ = run_all(SMALL)
-        reports, summary = run_all(dataclasses.replace(SMALL, negative_control=True))
+        base, _ = run_all(max_n=SMALL)
+        reports, summary = run_all(max_n=SMALL, negative_control=True)
         assert len(reports) == len(base) + 2
         failing = [r for r in reports if r.status == "fail"]
         assert {r.claim_id for r in failing} == {
@@ -111,30 +100,45 @@ class TestRunAll:
         assert not summary.ok
 
     def test_failure_reports_carry_expected_and_actual(self):
-        config = VerifyConfig(
-            table1_max_n=2, mod4_values=(), prime_powers=(), elementary_abelian=(),
-            dihedral_max_n=2, action_equiv_max_m=2, action_equiv_max_n=1,
-            characteristic_max_order=5, negative_control=True)
-        reports, _ = run_all(config)
+        reports, _ = run_all(max_n=2, negative_control=True)
         for r in reports:
             if r.status == "fail":
                 assert r.expected
                 assert r.actual
                 assert r.expected != r.actual
 
-    def test_skip_counts_in_summary(self):
-        config = VerifyConfig(
-            table1_max_n=2, mod4_values=(), prime_powers=(),
-            elementary_abelian=((2, 4),), dihedral_max_n=2,
-            action_equiv_max_m=2, action_equiv_max_n=1, characteristic_max_order=5)
-        reports, summary = run_all(config)
+    def test_max_n_past_the_defaults_extends_only_table1(self):
+        reports, _ = run_all(max_n=21)
+        ids = {r.claim_id for r in reports}
+        assert {"table1.n=21", "thm4.1.n=12", "thm7.2.n=12", "thm6.6.m=12.n=6"} <= ids
+        assert not {"thm7.2.n=13", "thm6.6.m=13.n=1", "thm6.6.m=12.n=7"} & ids
+
+    def test_sections_are_called_through_module_globals(self, monkeypatch):
+        # bench/worker.py times the paper workload by wrapping sections this way
+        sections = ["check_table1", "check_aut_zn_mod4_structure", "check_prime_power_aut",
+                    "check_elementary_abelian_aut", "check_dihedral_aut", "check_z8_case_study",
+                    "check_action_equivalence", "check_characteristic_theorems"]
+        called = []
+        for name in sections:
+            def wrapped(*args, _fn=getattr(groupkit.verify, name), _name=name):
+                called.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(groupkit.verify, name, wrapped)
+        run_all(max_n=1)
+        assert called == sections
+
+    def test_skip_counts_in_summary(self, monkeypatch):
+        # |Aut(Z2^4)| = 20160 is over the Aut cap, so that claim is skipped
+        monkeypatch.setattr(groupkit.verify, "check_elementary_abelian_aut",
+                            lambda pairs: check_elementary_abelian_aut(((2, 4),)))
+        reports, summary = run_all(max_n=2)
         assert summary.skipped == 1
         assert summary.ok  # skips do not fail the run
 
 
 class TestReportJson:
     def test_exact_key_set(self):
-        reports, _ = run_all(SMALL)
+        reports, _ = run_all(max_n=SMALL)
         for r in reports[:5]:
             d = report_to_json(r)
             assert set(d) == {"claim", "status", "expected", "actual", "ms"}
@@ -142,16 +146,17 @@ class TestReportJson:
             assert d["status"] in ("pass", "fail", "skipped")
 
     def test_defaults_cover_documented_ranges(self):
-        config = VerifyConfig()
-        assert config.table1_max_n == 20
-        assert config.dihedral_max_n == 12
-        assert config.action_equiv_max_m == 12
-        assert config.action_equiv_max_n == 6
-        assert config.characteristic_max_order == 60
-        assert (2, 5) in config.prime_powers
-        assert (7, 2) in config.prime_powers
-        assert config.elementary_abelian == ((2, 2), (2, 3), (3, 2))
-        assert config.negative_control is False
+        reports, _ = run_all()
+        ids = {r.claim_id for r in reports}
+        assert {"table1.n=20", "thm4.1.n=12", "thm7.2.n=12", "thm6.6.m=12.n=6",
+                "thm6.4.m=3.n=20", "prop4.2.p=2.k=5", "prop4.2.p=7.k=2",
+                "sec4.2.p=3.m=2"} <= ids
+        assert "table1.n=21" not in ids and "thm7.2.n=13" not in ids
+        assert "thm6.6.m=12.n=7" not in ids
+        assert sum(i.startswith("prop4.2.") for i in ids) == 12
+        assert sorted(i for i in ids if i.startswith("sec4.2.")) == [
+            "sec4.2.p=2.m=2", "sec4.2.p=2.m=3", "sec4.2.p=3.m=2"]
+        assert not any(i.startswith("negative-control") for i in ids)
 
 
 class TestFullRun:

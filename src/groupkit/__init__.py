@@ -22,7 +22,6 @@ from .core import (
     kernel,
     make_table,
     order_spectrum,
-    quotient,
     subgroup_generated,
     subgroup_table,
     to_json_dict,
@@ -120,7 +119,6 @@ __all__ = [
     "parse_and_eval",
     "parse_expr",
     "power_action",
-    "quotient",
     "recognize_split",
     "report_to_json",
     "run_all",

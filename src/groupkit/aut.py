@@ -20,24 +20,33 @@ from .numth import factorize
 DEFAULT_AUT_CAP = 10_000
 
 
+def _abelian_p_exponents(g: GroupTable) -> dict[int, list[int]]:
+    """For abelian G, each prime p of |G| with the ascending e_i of its p-part.
+
+    G is the product of its p-parts, and every x with x^(p^j) = e lies in the
+    p-part Z_{p^e_1} x ... x Z_{p^e_k}, whose i-th coordinate holds
+    p^min(e_i, j) such elements. So p^(sum_i min(e_i, j)) elements of G have
+    order dividing p^j. That exponent rises from j - 1 to j by r_j, the number
+    of e_i >= j, and r_j - r_{j+1} of the e_i equal j. G must be abelian.
+    """
+    exponents = {}
+    for p, m in factorize(g.order):
+        sums = [round(log(sum(1 for d in g.orders if p**j % d == 0), p)) for j in range(m + 1)]
+        r = [b - a for a, b in zip(sums, sums[1:])] + [0]  # r[j - 1] = r_j
+        exponents[p] = [j for j in range(1, m + 1) for _ in range(r[j - 1] - r[j])]
+    return exponents
+
+
 def _abelian_aut_count(g: GroupTable) -> int | None:
     """|Aut G| when G is abelian, else None.
 
-    In the p-part Z_{p^e_1} x ... x Z_{p^e_k}, p^(sum_i min(e_i, j)) elements
-    have order dividing p^j; the steps of that exponent count the e_i >= j.
-    |Aut| is the product over p of Hillar & Rhea's count ("Automorphisms of
-    finite abelian groups", Amer. Math. Monthly 114, 2007).
+    |Aut| is the product over p of Hillar & Rhea's count for the p-part
+    ("Automorphisms of finite abelian groups", Amer. Math. Monthly 114, 2007).
     """
     if not is_abelian(g):
         return None
     total = 1
-    for p, m in factorize(g.order):
-        at_least, below = [], 0
-        for j in range(1, m + 1):
-            exponent = round(log(sum(1 for d in g.orders if p**j % d == 0), p))
-            at_least.append(exponent - below)
-            below = exponent
-        es = sorted(sum(1 for r in at_least if r >= i) for i in range(1, at_least[0] + 1))
+    for p, es in _abelian_p_exponents(g).items():
         k = len(es)
         for j, e in enumerate(es):
             d, c = bisect_right(es, e), bisect_left(es, e) + 1

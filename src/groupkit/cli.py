@@ -116,8 +116,6 @@ def _cmd_homs(args: argparse.Namespace) -> int:
 def _report_line(r: VerifyReport) -> str:
     if r.status == "pass":
         return f"pass  {r.claim_id}  ({r.elapsed_ms:.1f} ms)"
-    if r.status == "skipped":
-        return f"skip  {r.claim_id}  ({r.actual})"
     return f"FAIL  {r.claim_id}  expected: {r.expected}  actual: {r.actual}"
 
 
@@ -129,8 +127,8 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
         for r in reports:
             print(_report_line(r))
         print(
-            f"summary: {summary.passed} passed, {summary.failed} failed, "
-            f"{summary.skipped} skipped in {summary.elapsed_ms:.0f} ms"
+            f"summary: {summary.passed} passed, {summary.failed} failed "
+            f"in {summary.elapsed_ms:.0f} ms"
         )
     return EXIT_OK if summary.ok else EXIT_NEGATIVE
 

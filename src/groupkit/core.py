@@ -390,26 +390,6 @@ def is_normal(g: GroupTable, h: SubgroupRef) -> bool:
     return True
 
 
-def quotient(g: GroupTable, n: SubgroupRef) -> GroupTable:
-    """G/N for a normal subgroup N; cosets reindexed with [e] first."""
-    if not is_normal(g, n):
-        raise ValueError("quotient requires a normal subgroup")
-    mul = g.mul
-    seen: set[int] = set()
-    cosets: list[tuple[int, ...]] = []
-    for x in range(g.order):
-        if x not in seen:
-            cs = tuple(sorted(mul[x][a] for a in n.members))
-            seen.update(cs)
-            cosets.append(cs)
-    # canonical order: identity coset first, the rest sorted by member tuple
-    cosets.sort(key=lambda cs: (g.identity not in cs, cs))
-    coset_of = {y: i for i, cs in enumerate(cosets) for y in cs}
-    qmul = tuple(tuple(coset_of[mul[cs[0]][ct[0]]] for ct in cosets) for cs in cosets)
-    names = tuple(f"[{g.elem_names[cs[0]]}]" for cs in cosets)
-    return make_table(qmul, names, identity=0)
-
-
 def subgroup_table(g: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tuple[int, ...]]:
     """Extract a subgroup as its own GroupTable.
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, product
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .core import (
     GroupTable,
@@ -13,12 +13,12 @@ from .core import (
     is_abelian,
     center,
     order_spectrum,
-    quotient,
     subgroup_generated,
 )
 from ._search import search_morphisms
+from .aut import _abelian_p_exponents
 from .construct import cyclic, dihedral, direct_product, power_action, semidirect
-from .numth import euler_phi, multiplicative_order, totatives
+from .numth import multiplicative_order, totatives
 
 SEMIDIRECT_POOL_LIMIT = 128
 
@@ -59,28 +59,19 @@ def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:
 def abelian_invariants(g: GroupTable) -> list[int]:
     """Invariant factors d_1 | d_2 | ... | d_k of an abelian group.
 
-    Splits off a maximal-order cyclic factor repeatedly, then verifies the
-    answer by reconstructing the product of cyclics and checking it really
-    is isomorphic to G.
+    Read from the element orders: G is the product of its p-parts, each
+    Z_{p^e_1} x ... x Z_{p^e_j} with e ascending (aut._abelian_p_exponents).
+    Align every prime's exponents from the largest, padding with zeros, and
+    set d_t = prod_p p^(e_p,t). Each prime's exponents ascend, so
+    d_t | d_{t+1}; Z_{d_t} = prod_p Z_{p^(e_p,t)} by the Chinese remainder
+    theorem, so Z_{d_1} x ... x Z_{d_k} is G.
     """
     if not is_abelian(g):
         raise ValueError("abelian invariants require an abelian group")
-    invs: list[int] = []
-    cur = g
-    while cur.order > 1:
-        orders = cur.orders
-        top = max(orders)
-        invs.append(top)
-        gen = orders.index(top)
-        cur = quotient(cur, subgroup_generated(cur, [gen]))
-    invs.reverse()
-    for a, b in zip(invs, invs[1:]):
-        if b % a:
-            raise RuntimeError(f"internal error: invariant chain {invs} is not a divisor chain")
-    if invs:
-        if are_isomorphic(g, reduce(direct_product, map(cyclic, invs))) is None:
-            raise RuntimeError(f"internal error: reconstruction from {invs} failed")
-    return invs
+    exponents = _abelian_p_exponents(g)
+    k = max(map(len, exponents.values()), default=0)
+    return [prod(p ** es[t] for p, es in exponents.items() if -t <= len(es))
+            for t in range(-k, 0)]
 
 
 @dataclass(frozen=True)
@@ -121,12 +112,25 @@ def _build(name: CatalogName) -> GroupTable:
 
 
 def _spectrum(name: CatalogName) -> dict[int, int]:
-    """The order spectrum of a name from _basic_pool, in closed form unless semidirect."""
-    if name.kind == "semidirect-cyclic":
-        return order_spectrum(_build(name))
-    k = name.params[0]  # D_k adds k reflections of order 2 to the rotations Z_k
-    spec = {d: euler_phi(d) for d in range(1, k + 1) if k % d == 0}
-    return spec if name.kind == "cyclic" else {**spec, 2: spec.get(2, 0) + k}
+    """The order spectrum of a name from _basic_pool, in closed form.
+
+    Each basic name is Z_m x| Z_n with s acting by r -> r^i: cyclic is
+    n = 1, dihedral D_k is m = k, n = 2, i = -1. An element (a, t) = r^a s^t
+    has powers (a, t)^j = (a * (1 + u + ... + u^(j-1)), j*t) with u = i^t
+    mod m. Its H-part is trivial exactly when q = n / gcd(n, t) divides j, and
+    (a, t)^q = (a*S, 0) with S = 1 + u + ... + u^(q-1), whose order in Z_m is
+    m / gcd(m, a*S). So (a, t) has order q * m / gcd(m, a*S).
+    """
+    m, n, i = name.params if name.kind == "semidirect-cyclic" else (
+        name.params[0], 1 if name.kind == "cyclic" else 2, -1)
+    spec: dict[int, int] = {}
+    for t in range(n):
+        q = n // gcd(n, t)
+        s = sum(pow(i, t * j, m) for j in range(q))
+        for a in range(m):
+            d = q * m // gcd(m, a * s)
+            spec[d] = spec.get(d, 0) + 1
+    return spec
 
 
 def _products(order: int):
@@ -148,9 +152,12 @@ def identify(g: GroupTable) -> CatalogName:
     smallest (m, n, i) wins), otherwise unidentified. Matching is by
     are_isomorphic, so the answer only depends on the isomorphism type.
 
-    One loop walks the candidates in that order. Each multiset of factors is
-    tried once; its spectrum is folded from theirs, as o((a, b)) = lcm(o(a), o(b)),
-    and a table is built and searched only when it is G's. Neither skip changes the answer.
+    An abelian group is named from its element orders (abelian_invariants),
+    without a search. For the rest, one loop walks the candidates in that
+    order. Each multiset of factors is tried once; its spectrum is folded from
+    the closed-form spectra of its factors (_spectrum), as
+    o((a, b)) = lcm(o(a), o(b)), and a table is built and searched only when
+    that spectrum is G's. Neither skip changes the answer.
     """
     n = g.order
     if max(g.orders) == n:

@@ -1,4 +1,4 @@
-"""Group tables, axiom checking, morphisms, subgroups, quotients."""
+"""Group tables, axiom checking, morphisms, subgroups."""
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +27,6 @@ from groupkit.core import (
     kernel,
     make_table,
     order_spectrum,
-    quotient,
     subgroup_generated,
     subgroup_table,
     to_json_dict,
@@ -259,31 +258,6 @@ class TestSubgroups:
         assert len(h) == 2 * prod_order
         sub, _ = subgroup_table(g, h.members)
         assert are_isomorphic(sub, dihedral(prod_order)) is not None
-
-
-class TestQuotient:
-    def test_z4_mod_half(self):
-        g = cyclic(4)
-        q = quotient(g, subgroup_generated(g, [2]))
-        assert q.order == 2
-        assert are_isomorphic(q, cyclic(2)) is not None
-
-    def test_d4_mod_rotations(self):
-        g = dihedral(4)
-        q = quotient(g, subgroup_generated(g, [2]))
-        assert q.order == 2
-
-    def test_quotient_identity_is_index_zero(self):
-        g = cyclic(6)
-        q = quotient(g, subgroup_generated(g, [3]))
-        assert q.identity == 0
-        assert q.order == 3
-        assert verify_group_axioms(q).ok
-
-    def test_rejects_non_normal(self):
-        d3 = dihedral(3)
-        with pytest.raises(ValueError):
-            quotient(d3, subgroup_generated(d3, [1]))
 
 
 class TestSubgroupTable:

@@ -2,13 +2,14 @@
 
 import math
 import random
-from functools import cache
+from functools import cache, reduce
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupkit.aut import aut_group
+import groupkit.iso
+from groupkit.aut import _abelian_aut_count, aut_group
 from groupkit.construct import (
     actions,
     cyclic,
@@ -18,9 +19,17 @@ from groupkit.construct import (
     semidirect,
     trivial_action,
 )
-from groupkit.core import GroupTable, is_abelian, make_table
+from groupkit.core import GroupTable, is_abelian, make_table, order_spectrum
 from groupkit.expr import parse_and_eval, parse_expr
-from groupkit.iso import CatalogName, abelian_invariants, are_isomorphic, identify
+from groupkit.iso import (
+    CatalogName,
+    _basic_pool,
+    _build,
+    _spectrum,
+    abelian_invariants,
+    are_isomorphic,
+    identify,
+)
 
 
 def _relabel(g: GroupTable, seed: int) -> GroupTable:
@@ -129,6 +138,64 @@ class TestAbelianInvariants:
     def test_invariants_agree_for_isomorphic_presentations(self):
         assert abelian_invariants(cyclic(6)) == abelian_invariants(
             direct_product(cyclic(2), cyclic(3)))
+
+    def test_every_abelian_group_up_to_order_96_against_arithmetic(self):
+        rng = random.Random(0)
+        lists = [f for n in range(1, 97) for f in _factor_lists(n)]
+        assert len(lists) == 340
+        for factors in lists:
+            rng.shuffle(factors)
+            g = reduce(direct_product, map(cyclic, factors), cyclic(1))
+            invs, count = _oracle_invariants(factors), _oracle_aut_count(factors)
+            for table in (g, _relabel(g, len(factors))):
+                assert abelian_invariants(table) == invs, factors
+                assert _abelian_aut_count(table) == count, factors
+            assert are_isomorphic(g, reduce(direct_product, map(cyclic, invs), cyclic(1)))
+        for g in (dihedral(3), holomorph(5), parse_and_eval("Z4 x D4")):
+            with pytest.raises(ValueError):
+                abelian_invariants(g)
+            assert _abelian_aut_count(g) is None
+
+
+def _factor_lists(n: int, least: int = 2) -> list[list[int]]:
+    """Every multiset of cyclic orders > 1 with product n, each ascending."""
+    if n == 1:
+        return [[]]
+    return [[d, *rest] for d in range(least, n + 1) if n % d == 0
+            for rest in _factor_lists(n // d, d)]
+
+
+def _oracle_invariants(factors: list[int]) -> list[int]:
+    """Invariant factors by Z_a x Z_b = Z_gcd(a,b) x Z_lcm(a,b), applied to every pair in turn."""
+    invs = list(factors)
+    for i in range(len(invs)):
+        for j in range(i + 1, len(invs)):
+            invs[i], invs[j] = math.gcd(invs[i], invs[j]), math.lcm(invs[i], invs[j])
+    return [d for d in invs if d > 1]
+
+
+def _oracle_aut_count(factors: list[int]) -> int:
+    """|Aut| as the units of End: for each p-part with exponents e_i, of which m_e
+    equal e, End has p^(sum min(e_i, e_j)) elements and End / J(End) is the
+    product of the matrix rings M_{m_e}(F_p), so
+    |Aut| = |End| * prod_e |GL_{m_e}(F_p)| / p^(m_e^2)."""
+    parts: dict[int, list[int]] = {}
+    for n in factors:
+        p = 2
+        while n > 1:
+            e = 0
+            while n % p == 0:
+                n, e = n // p, e + 1
+            if e:
+                parts.setdefault(p, []).append(e)
+            p += 1
+    count = 1
+    for p, es in parts.items():
+        mult = [es.count(e) for e in set(es)]
+        count *= p ** (sum(min(a, b) for a in es for b in es) - sum(m * m for m in mult))
+        for m in mult:
+            count *= math.prod(p**m - p**x for x in range(m))
+    return count
 
 
 class TestIdentify:
@@ -273,3 +340,17 @@ def _sweep_groups():
 def test_identify_matches_the_reference_walk():
     for g in _sweep_groups():
         assert identify(g) == _reference_identify(g)
+
+
+def test_basic_spectra_are_closed_form(monkeypatch):
+    names = [name for order in range(1, 200) for name in _basic_pool(order)]
+    assert len(names) == 774
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_spectrum built a table")
+
+    with monkeypatch.context() as patch:
+        for builder in ("cyclic", "dihedral", "direct_product", "power_action", "semidirect"):
+            patch.setattr(groupkit.iso, builder, refuse)
+        spectra = [_spectrum(name) for name in names]
+    assert spectra == [order_spectrum(_build(name)) for name in names]

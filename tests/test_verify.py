@@ -3,6 +3,7 @@
 import pytest
 
 import groupkit.verify
+from groupkit.core import SizeCapError
 from groupkit.verify import (
     check_action_equivalence,
     check_aut_zn_mod4_structure,
@@ -27,7 +28,7 @@ class TestIndividualChecks:
         assert {r.claim_id for r in reports} == {f"table1.n={n}" for n in range(2, 9)}
 
     def test_mod4_structure_passes(self):
-        reports = check_aut_zn_mod4_structure(values=(4, 8))
+        reports = check_aut_zn_mod4_structure(8)
         assert all(r.status == "pass" for r in reports)
         assert any(r.claim_id.startswith("thm4.1") for r in reports)
         assert any(r.claim_id.startswith("sec4.1") for r in reports)
@@ -38,12 +39,11 @@ class TestIndividualChecks:
         assert all(r.status == "pass" for r in reports)
 
     def test_elementary_abelian_pass_and_skip(self):
-        reports = check_elementary_abelian_aut(pairs=((2, 2), (2, 4)))
-        by_id = {r.claim_id: r for r in reports}
-        assert by_id["sec4.2.p=2.m=2"].status == "pass"
-        skipped = by_id["sec4.2.p=2.m=4"]
-        assert skipped.status == "skipped"
-        assert "20160" in skipped.expected
+        reports = check_elementary_abelian_aut(pairs=((2, 2),))
+        assert [(r.claim_id, r.status) for r in reports] == [("sec4.2.p=2.m=2", "pass")]
+        # |Aut(Z2^4)| = 20160 is over the Aut cap, which automorphisms refuses
+        with pytest.raises(SizeCapError, match="20160"):
+            check_elementary_abelian_aut(pairs=((2, 4),))
 
     def test_dihedral_aut_passes(self):
         reports = check_dihedral_aut(max_n=8)
@@ -83,7 +83,7 @@ class TestRunAll:
         assert summary.failed == 0
         assert summary.ok
         assert summary.passed == len([r for r in reports if r.status == "pass"])
-        assert summary.passed + summary.failed + summary.skipped == len(reports)
+        assert summary.passed + summary.failed == len(reports)
 
     def test_claim_ids_unique(self):
         reports, _ = run_all(max_n=SMALL)
@@ -127,14 +127,6 @@ class TestRunAll:
         run_all(max_n=1)
         assert called == sections
 
-    def test_skip_counts_in_summary(self, monkeypatch):
-        # |Aut(Z2^4)| = 20160 is over the Aut cap, so that claim is skipped
-        monkeypatch.setattr(groupkit.verify, "check_elementary_abelian_aut",
-                            lambda pairs: check_elementary_abelian_aut(((2, 4),)))
-        reports, summary = run_all(max_n=2)
-        assert summary.skipped == 1
-        assert summary.ok  # skips do not fail the run
-
 
 class TestReportJson:
     def test_exact_key_set(self):
@@ -143,7 +135,7 @@ class TestReportJson:
             d = report_to_json(r)
             assert set(d) == {"claim", "status", "expected", "actual", "ms"}
             assert isinstance(d["ms"], float)
-            assert d["status"] in ("pass", "fail", "skipped")
+            assert d["status"] in ("pass", "fail")
 
     def test_defaults_cover_documented_ranges(self):
         reports, _ = run_all()
@@ -163,7 +155,6 @@ class TestFullRun:
     def test_default_run_fully_passes(self):
         reports, summary = run_all()
         assert summary.failed == 0
-        assert summary.skipped == 0
         assert summary.passed == len(reports)
         ids = {r.claim_id for r in reports}
         assert "table1.n=20" in ids

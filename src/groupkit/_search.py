@@ -2,12 +2,13 @@
 
 Shared engine behind hom_set, automorphism enumeration and isomorphism
 search. It picks the source's cached generating sequence, tries each
-order-compatible image for one generator per level, and lets that level's
-extension plan force the images of the elements the generator adds. The
-plans assign every non-identity element exactly once, so a level writes its
-images straight into one array and nothing is ever undone: a deeper level
-only overwrites its own entries. Complete candidates are checked on the
-generator rows by respects_products.
+order-compatible image for one generator per level (or the image the caller
+fixes for a prefix of them), and lets that level's extension plan force the
+images of the elements the generator adds. The plans assign every
+non-identity element exactly once, so a level writes its images straight
+into one array and nothing is ever undone: a deeper level only overwrites
+its own entries. Complete candidates are checked on the generator rows by
+respects_products.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ def search_morphisms(
     bijective: bool,
     first_only: bool = False,
     cap: int | None = None,
+    fixed: tuple[int, ...] = (),
 ) -> list[tuple[int, ...]]:
     """Image arrays of all maps src -> tgt respecting mul on every pair.
 
@@ -38,18 +40,21 @@ def search_morphisms(
     trivial kernel, so it is injective anyway, and respects_products at the
     leaf still decides which candidates are returned. Both tables must be
     groups; that check relies on it, and verify_group_axioms checks it for
-    tables from make_table. Sorted lexicographically by image array unless
-    first_only.
+    tables from make_table. `fixed` gives the images of the first generators,
+    each of an order its generator allows. Sorted lexicographically by image
+    array unless first_only.
     """
     n, m = src.order, tgt.order
     if bijective and n != m:
         return []
     gens, plans = src.gens_and_plans
     src_orders, tgt_orders, tmul = src.orders, tgt.orders, tgt.mul
+    free = gens[len(fixed):]
     if bijective:
-        candidates = [[w for w in range(m) if tgt_orders[w] == src_orders[x]] for x in gens]
+        candidates = [[w for w in range(m) if tgt_orders[w] == src_orders[x]] for x in free]
     else:
-        candidates = [[w for w in range(m) if src_orders[x] % tgt_orders[w] == 0] for x in gens]
+        candidates = [[w for w in range(m) if src_orders[x] % tgt_orders[w] == 0] for x in free]
+    candidates[:0] = [[w] for w in fixed]
     img = [-1] * n
     img[src.identity] = tgt.identity
     results: list[tuple[int, ...]] = []

@@ -1,10 +1,10 @@
-"""Automorphism groups via pruned backtracking, plus lift constructions."""
+"""Automorphism groups from a stabiliser chain, characteristic subgroups, lifts."""
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import log
+from math import log, prod
 
 from .core import (
     GroupTable,
@@ -54,20 +54,74 @@ def _abelian_aut_count(g: GroupTable) -> int | None:
     return total
 
 
-def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[Morphism]:
-    """All automorphisms of G, sorted lexicographically by image array.
+def _aut_chain(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[dict]]:
+    """Strong generators S of Aut(G) and a Schreier vector per generator of G.
 
-    Backtracks over order-preserving generator images with forced-assignment
-    pruning. Refuses up front when G is abelian and its count, known in
-    closed form, already exceeds the cap, since those blow up fastest.
+    A_t fixes g_0, ..., g_{t-1} of the generating sequence; A_d = 1, since a
+    map that fixes the generators is the identity. For t from d - 1 down,
+    vectors[t] is the orbit of g_t under S, q -> (i, p) with q = S[i][p] and
+    g_t -> None. Each element of g_t's order outside it, ascending, gets one
+    search for a map that fixes g_0, ..., g_{t-1} and sends g_t there; a map
+    found joins S and the orbit is closed again (Sims 1970; Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
+
+    By induction on t, <S> = A_t after level t: S held generators of A_{t+1},
+    which fix g_t; each point of the A_t-orbit of g_t was reached or searched,
+    and a search there succeeds, so the orbit ends as the A_t-orbit. For a in
+    A_t some u in <S> has u(g_t) = a(g_t), and u^-1 a lies in A_{t+1}, so a
+    lies in <S>. Hence |Aut G| is the product of the orbit lengths, checked
+    against the cap before anything is listed. Each S[i] passed
+    respects_products at its leaf, and products of automorphisms are
+    automorphisms. An abelian group past the cap is refused first (Hillar-Rhea).
     """
     projected = _abelian_aut_count(g)
     if projected is not None and projected > cap:
         raise SizeCapError(
             f"abelian group of order {g.order} has {projected} "
             f"automorphisms, beyond the cap of {cap}; raise the cap to enumerate")
-    return [Morphism(g, g, img)
-            for img in search_morphisms(g, g, bijective=True, cap=cap)]
+    gens, orders = g.gens_and_plans[0], g.orders
+    strong, vectors = [], []
+    for t, x in reversed([*enumerate(gens)]):
+        orbit: dict[int, tuple[int, int] | None] = {x: None}
+        for w in range(g.order):
+            if orders[w] != orders[x] or w in orbit:
+                continue
+            if found := search_morphisms(g, g, bijective=True, first_only=True,
+                                         fixed=(*gens[:t], w)):
+                strong.append(found[0])
+                queue = list(orbit)
+                for p in queue:
+                    for i, s in enumerate(strong):
+                        if s[p] not in orbit:
+                            orbit[s[p]] = (i, p)
+                            queue.append(s[p])
+        vectors.insert(0, orbit)
+    if (count := prod(map(len, vectors))) > cap:
+        raise SizeCapError(
+            f"group of order {g.order} has {count} automorphisms, "
+            f"beyond the cap of {cap}; raise the cap to enumerate")
+    return strong, vectors
+
+
+def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[Morphism]:
+    """All automorphisms of G, sorted lexicographically by image array.
+
+    Refuses past the cap (_aut_chain). Vector t gives the transversal of
+    A_{t+1} in A_t, u_q = S[i] after u_p for q -> (i, p), and each automorphism
+    is u_0 u_1 ... u_{d-1} in one way: one composition of image arrays apiece.
+    """
+    strong, vectors = _aut_chain(g, cap)
+    ident = tuple(range(g.order))
+    autos = [ident]
+    for orbit in reversed(vectors):
+        transversal = {}
+        for q, link in orbit.items():
+            transversal[q] = ident if link is None else tuple(
+                map(strong[link[0]].__getitem__, transversal[link[1]]))
+        autos += [tuple(map(u.__getitem__, e))
+                  for u in list(transversal.values())[1:] for e in autos]
+    autos.sort()
+    return [Morphism(g, g, img) for img in autos]
 
 
 @dataclass(frozen=True)
@@ -103,11 +157,16 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
 
 
 def is_characteristic(g: GroupTable, c: SubgroupRef, cap: int = DEFAULT_AUT_CAP) -> bool:
-    """True when every automorphism of G maps the subgroup C onto itself."""
+    """True when every automorphism of G maps the subgroup C onto itself.
+
+    Tests only the strong generators of _aut_chain, which refuses past the
+    cap: the automorphisms that map C onto C form a subgroup, and one that
+    holds a generating set of Aut G holds all of it.
+    """
     if c.parent != g:
         raise ValueError("subgroup belongs to a different parent group")
     members = set(c.members)
-    return all({a.image[x] for x in members} == members for a in automorphisms(g, cap=cap))
+    return all({a[x] for x in members} == members for a in _aut_chain(g, cap)[0])
 
 
 def _factor_order(auto: Morphism, product: GroupTable, factor: str) -> int:

@@ -57,7 +57,14 @@ def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:
 
 
 def abelian_invariants(g: GroupTable) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... | d_k of an abelian group.
+    """Invariant factors d_1 | d_2 | ... | d_k of an abelian group."""
+    if not is_abelian(g):
+        raise ValueError("abelian invariants require an abelian group")
+    return _invariant_factors(g)
+
+
+def _invariant_factors(g: GroupTable) -> list[int]:
+    """abelian_invariants of G, which the caller has checked to be abelian.
 
     Read from the element orders: G is the product of its p-parts, each
     Z_{p^e_1} x ... x Z_{p^e_j} with e ascending (aut._abelian_p_exponents).
@@ -66,8 +73,6 @@ def abelian_invariants(g: GroupTable) -> list[int]:
     d_t | d_{t+1}; Z_{d_t} = prod_p Z_{p^(e_p,t)} by the Chinese remainder
     theorem, so Z_{d_1} x ... x Z_{d_k} is G.
     """
-    if not is_abelian(g):
-        raise ValueError("abelian invariants require an abelian group")
     exponents = _abelian_p_exponents(g)
     k = max(map(len, exponents.values()), default=0)
     return [prod(p ** es[t] for p, es in exponents.items() if -t <= len(es))
@@ -153,17 +158,17 @@ def identify(g: GroupTable) -> CatalogName:
     are_isomorphic, so the answer only depends on the isomorphism type.
 
     An abelian group is named from its element orders (abelian_invariants),
-    without a search. For the rest, one loop walks the candidates in that
-    order. Each multiset of factors is tried once; its spectrum is folded from
-    the closed-form spectra of its factors (_spectrum), as
-    o((a, b)) = lcm(o(a), o(b)), and a table is built and searched only when
-    that spectrum is G's. Neither skip changes the answer.
+    with one commutativity scan and no search. For the rest, one loop walks
+    the candidates in that order. Each multiset of factors is tried once; its
+    spectrum is folded from the closed-form spectra of its factors
+    (_spectrum), as o((a, b)) = lcm(o(a), o(b)), and a table is built and
+    searched only when that spectrum is G's. Neither skip changes the answer.
     """
     n = g.order
     if max(g.orders) == n:
         return CatalogName("cyclic", (n,), f"Z{n}")
     if is_abelian(g):
-        invs = tuple(abelian_invariants(g))
+        invs = tuple(_invariant_factors(g))
         return CatalogName("abelian-product", invs, " x ".join(f"Z{d}" for d in invs))
     basics = list(_basic_pool(n))
     candidates = chain(([(n, b)] for b in basics if b.kind == "dihedral"), _products(n),

@@ -1,5 +1,7 @@
 """Automorphism groups, lifting maps on semidirect products, caps."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,21 +75,22 @@ class TestAutomorphismCounts:
         assert len(automorphisms(cyclic(n))) == euler_phi(n)
 
     @pytest.mark.parametrize(
-        "expr, count",
-        [("Hol 7", 42), ("Hol 9", 54), ("Hol 11", 110), ("Z16 : Z4 [r^3]", 128)],
+        "expr, count, leaves",
+        [("Hol 7", 42, 3), ("Hol 9", 54, 2), ("Hol 11", 110, 2), ("Z16 : Z4 [r^3]", 128, 4)],
     )
     def test_collision_pruning_checks_only_automorphisms_at_the_leaf(
-            self, monkeypatch, expr, count):
+            self, monkeypatch, expr, count, leaves):
         g = parse_and_eval(expr)  # built first: a holomorph searches Aut(Z_n)
-        real, leaves = groupkit._search.respects_products, []
+        real, verdicts = groupkit._search.respects_products, []
 
         def counting(*args):
-            leaves.append(1)
-            return real(*args)
+            verdicts.append(real(*args))
+            return verdicts[-1]
 
         monkeypatch.setattr(groupkit._search, "respects_products", counting)
         assert len(automorphisms(g)) == count
-        assert len(leaves) == count
+        # one leaf per strong generator of Aut(G), not one per automorphism
+        assert verdicts == [True] * leaves
 
     def test_aut_of_cyclic_is_abelian(self):
         for n in (5, 8, 12, 15):
@@ -165,6 +168,28 @@ class TestElementaryAbelianCap:
         with pytest.raises(SizeCapError, match=f"has {count} automorphisms"):
             automorphisms(g, cap=count - 1)
 
+    @pytest.mark.parametrize("expr", ["D6", "Hol 7", "D4 x Z2", "Z16 : Z4 [r^3]"])
+    def test_non_abelian_refusal_names_the_enumerated_count(self, expr):
+        g = parse_and_eval(expr)
+        count = len(automorphisms(g))
+        with pytest.raises(SizeCapError, match=f"group of order {g.order} has {count} automorphisms"):
+            automorphisms(g, cap=count - 1)
+
+    def test_refuses_a_non_abelian_group_from_its_orbit_lengths(self, monkeypatch):
+        g = parse_and_eval("Z2 x Z2 x D8")
+        count = len(groupkit._search.search_morphisms(g, g, bijective=True))
+        assert count == 12288
+        real, leaves = groupkit._search.respects_products, []
+
+        def counting(*args):
+            leaves.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(groupkit._search, "respects_products", counting)
+        with pytest.raises(SizeCapError, match=f"has {count} automorphisms"):
+            automorphisms(g)
+        assert len(leaves) <= 20
+
     def test_refuses_a_non_elementary_abelian_group_before_searching(self):
         # |Aut(Z2^3 x Z4)| = 21504 (Hillar & Rhea); the search would stop at 10,001
         with pytest.raises(SizeCapError, match="has 21504 automorphisms"):
@@ -188,6 +213,25 @@ class TestCharacteristic:
         g = dihedral(5)
         assert is_characteristic(g, subgroup_generated(g, []))
         assert is_characteristic(g, subgroup_generated(g, [1, 2]))
+
+
+def test_chain_matches_the_full_search():
+    # every Z m x Z n, D m x Z n and Z m : Z n [r^i] of order <= 48, and Hol n for n <= 13
+    battery = [f"Z{m} x Z{n}" for m in range(2, 25) for n in range(m, 25) if m * n <= 48]
+    battery += [f"D{m} x Z{n}" for m in range(3, 25) for n in range(2, 25) if 2 * m * n <= 48]
+    battery += [f"Z{m} : Z{n} [r^{i}]" for m in range(3, 25) for n in range(2, 25) if m * n <= 48
+                for i in range(2, m) if math.gcd(i, m) == 1 and pow(i, n, m) == 1]
+    battery += [f"Hol {n}" for n in range(2, 14)]
+    assert len(battery) == 182
+    for expr in battery:
+        g = parse_and_eval(expr)
+        oracle = groupkit._search.search_morphisms(g, g, bijective=True)
+        assert [a.image for a in automorphisms(g)] == oracle, expr
+        subgroups = [center(g), *(subgroup_generated(g, [x]) for x in range(g.order))]
+        for c in {c.members: c for c in subgroups}.values():
+            members = set(c.members)
+            verdict = all({image[x] for x in members} == members for image in oracle)
+            assert is_characteristic(g, c) == verdict, (expr, c.members)
 
 
 def _faithful_action_z4_on_z5():

@@ -269,6 +269,17 @@ class TestIdentify:
         assert are_isomorphic(g, rebuilt) is not None
         assert identify(rebuilt).display == display
 
+    def test_abelian_group_is_scanned_for_commutativity_once(self, monkeypatch):
+        g, calls = parse_and_eval("Z4 x Z6"), []
+
+        def counting(table):
+            calls.append(table)
+            return is_abelian(table)
+
+        monkeypatch.setattr(groupkit.iso, "is_abelian", counting)
+        assert identify(g).display == "Z2 x Z12"
+        assert len(calls) == 1
+
     def test_smallest_semidirect_parameters_win(self):
         # Z5 : Z4 [r^3] is isomorphic to Z5 : Z4 [r^2]; the display uses
         # the lexicographically smallest parameter triple

@@ -88,7 +88,10 @@ def search_morphisms(
                     return True
         return False
 
-    dfs(0, {tgt.identity})
+    try:
+        dfs(0, {tgt.identity})
+    finally:
+        del dfs  # dfs holds itself through its closure cell; free it without the cyclic GC
     if first_only:
         return results[:1]
     results.sort()

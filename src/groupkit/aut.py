@@ -2,56 +2,13 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import log, prod
+from math import prod
 
-from .core import (
-    GroupTable,
-    Morphism,
-    SizeCapError,
-    SubgroupRef,
-    is_abelian,
-    make_table,
-)
+from .core import GroupTable, Morphism, SizeCapError, SubgroupRef, make_table
 from ._search import generating_sequence, search_morphisms
-from .numth import factorize
 
 DEFAULT_AUT_CAP = 10_000
-
-
-def _abelian_p_exponents(g: GroupTable) -> dict[int, list[int]]:
-    """For abelian G, each prime p of |G| with the ascending e_i of its p-part.
-
-    G is the product of its p-parts, and every x with x^(p^j) = e lies in the
-    p-part Z_{p^e_1} x ... x Z_{p^e_k}, whose i-th coordinate holds
-    p^min(e_i, j) such elements. So p^(sum_i min(e_i, j)) elements of G have
-    order dividing p^j. That exponent rises from j - 1 to j by r_j, the number
-    of e_i >= j, and r_j - r_{j+1} of the e_i equal j. G must be abelian.
-    """
-    exponents = {}
-    for p, m in factorize(g.order):
-        sums = [round(log(sum(1 for d in g.orders if p**j % d == 0), p)) for j in range(m + 1)]
-        r = [b - a for a, b in zip(sums, sums[1:])] + [0]  # r[j - 1] = r_j
-        exponents[p] = [j for j in range(1, m + 1) for _ in range(r[j - 1] - r[j])]
-    return exponents
-
-
-def _abelian_aut_count(g: GroupTable) -> int | None:
-    """|Aut G| when G is abelian, else None.
-
-    |Aut| is the product over p of Hillar & Rhea's count for the p-part
-    ("Automorphisms of finite abelian groups", Amer. Math. Monthly 114, 2007).
-    """
-    if not is_abelian(g):
-        return None
-    total = 1
-    for p, es in _abelian_p_exponents(g).items():
-        k = len(es)
-        for j, e in enumerate(es):
-            d, c = bisect_right(es, e), bisect_left(es, e) + 1
-            total *= (p**d - p**j) * p ** (e * (k - d) + (e - 1) * (k - c + 1))
-    return total
 
 
 def _aut_chain(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[dict]]:
@@ -70,15 +27,10 @@ def _aut_chain(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[dic
     and a search there succeeds, so the orbit ends as the A_t-orbit. For a in
     A_t some u in <S> has u(g_t) = a(g_t), and u^-1 a lies in A_{t+1}, so a
     lies in <S>. Hence |Aut G| is the product of the orbit lengths, checked
-    against the cap before anything is listed. Each S[i] passed
-    respects_products at its leaf, and products of automorphisms are
-    automorphisms. An abelian group past the cap is refused first (Hillar-Rhea).
+    against the cap, for every group, before anything is listed. Each S[i]
+    passed respects_products at its leaf, and products of automorphisms are
+    automorphisms.
     """
-    projected = _abelian_aut_count(g)
-    if projected is not None and projected > cap:
-        raise SizeCapError(
-            f"abelian group of order {g.order} has {projected} "
-            f"automorphisms, beyond the cap of {cap}; raise the cap to enumerate")
     gens, orders = g.gens_and_plans[0], g.orders
     strong, vectors = [], []
     for t, x in reversed([*enumerate(gens)]):

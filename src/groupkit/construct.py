@@ -250,6 +250,7 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
         return None
 
     comp = extend([g.identity], 0)
+    del extend  # extend holds itself through its closure cell; free it without the cyclic GC
     if comp is None:
         return None
     h_ref = SubgroupRef(g, tuple(comp))

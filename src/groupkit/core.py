@@ -48,30 +48,25 @@ class GroupTable:
 
         The sequence repeatedly adds the element whose inclusion grows the
         generated subgroup the most, breaking ties by lowest index; it is
-        empty for the trivial group. plans[t] lists steps (p, x, y) with
-        p = x*y, meaning: once generators 0..t have images, the image of p is
-        forced as img[x]*img[y]. Walking the plans in order assigns every
-        element of the group exactly once.
+        empty for the trivial group. Each trial is sized by _coset_closure_size
+        and the chosen element's closure is grown by grow_closure. plans[t]
+        lists steps (p, x, y) with p = x*y, meaning: once generators 0..t have
+        images, the image of p is forced as img[x]*img[y]. Walking the plans
+        in order assigns every element of the group exactly once.
         """
         n, mul, orders = self.order, self.mul, self.orders
         have = [self.identity]
         gens: list[int] = []
         plans: list[tuple[Step, ...]] = []
         while len(have) < n:
-            inside = set(have)
             if not gens:
                 x = max(range(n), key=lambda x: (orders[x], -x))
-            elif 4 * len(have) > n:
-                # any outside element must finish the job: the grown subgroup
-                # is a proper multiple of |have| dividing n, hence n itself,
-                # and all candidates tie at the maximum, so lowest index wins
-                x = next(x for x in range(n) if x not in inside)
             else:
                 # <have, h*x> = <have, x> for h in have, so one trial per coset
-                size = 0
+                inside, size = set(have), 0
                 for y in range(n):
                     if y not in inside:
-                        grown = len(grow_closure(mul, have, y))
+                        grown = _coset_closure_size(mul, have, gens, y)
                         if grown > size:
                             x, size = y, grown
                         inside.update(mul[h][y] for h in have)
@@ -279,8 +274,9 @@ def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None,
                identity: int | None = None) -> GroupTable:
     """Build a GroupTable from a mul array, deriving identity and inverses.
 
-    Checks that every entry lies in 0..n-1, checks the given identity or finds
-    one, and finds each two-sided inverse; verify_group_axioms is the full check.
+    Checks that every entry lies in 0..n-1 and that names, when given, has n
+    entries, checks the given identity or finds one, and finds each two-sided
+    inverse; verify_group_axioms is the full check.
     """
     n = len(mul)
     rows = tuple(tuple(r) for r in mul)
@@ -292,9 +288,10 @@ def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None,
     if isinstance(found, AxiomVerdict):
         raise ValueError(found.detail)
     identity, inv = found
-    if names is None:
-        names = tuple(f"g{i}" for i in range(n))
-    return GroupTable(n, rows, identity, inv, tuple(names))
+    names = tuple(f"g{i}" for i in range(n)) if names is None else tuple(names)
+    if len(names) != n:
+        raise ValueError(f"{len(names)} names given for {n} elements")
+    return GroupTable(n, rows, identity, inv, names)
 
 
 def element_order(g: GroupTable, x: int) -> int:
@@ -331,6 +328,29 @@ def center(g: GroupTable) -> SubgroupRef:
     members = [a for a in range(g.order)
                if all(mul[a][b] == mul[b][a] for b in range(g.order))]
     return SubgroupRef(g, tuple(members))
+
+
+def _coset_closure_size(mul, subgroup: Sequence[int], gens: Sequence[int], y: int) -> int:
+    """|<H, y>| for the subgroup H = <gens> listed in `subgroup`, by Dimino's
+    coset closure (Butler, Fundamental Algorithms for Permutation Groups,
+    LNCS 559, 1991), in O(|<H, y>| * (d + 1)) products.
+
+    U, the union of the right cosets H*r for the representatives r found so
+    far, starts as H, represented by its first listed element; while some r*s
+    with s in gens or y lies outside U, H*(r*s) joins U. At the end r*s lies
+    in U for every r and s, so u*s = h*(r*s) lies in H*U = U for u = h*r.
+    U holds e and is closed under right multiplication by generators of
+    <H, y>, so it holds every product of them, which in a finite group is all
+    of <H, y>; U lies inside <H, y>, so its size is |<H, y>|.
+    """
+    members, reps = set(subgroup), [subgroup[0]]
+    for r in reps:  # list iterators see representatives appended while they run
+        row = mul[r]
+        for s in (*gens, y):
+            if row[s] not in members:
+                reps.append(row[s])
+                members.update(mul[h][row[s]] for h in subgroup)
+    return len(members)
 
 
 def grow_closure(mul, closed: Sequence[int], x: int,

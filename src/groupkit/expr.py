@@ -341,22 +341,26 @@ def _resolve_action(e: Semidirect, k_table: GroupTable, h_table: GroupTable) -> 
 
 
 def _eval(e: GroupExpr, names: _NameAllocator) -> GroupTable:
+    # a left-nested chain of x and : is walked in a loop, so its length costs no stack
+    spine: list[Union[Product, Semidirect]] = []
+    while isinstance(e, (Product, Semidirect)):
+        spine.append(e)
+        e = e.left if isinstance(e, Product) else e.k_expr
     if isinstance(e, Cyclic):
-        return cyclic(e.n, names.next_name())
-    if isinstance(e, Dihedral):
-        return dihedral(e.n)
-    if isinstance(e, Holomorph):
-        return holomorph(e.n)
-    if isinstance(e, Product):
-        left = _eval(e.left, names)
-        right = _eval(e.right, names)
-        return direct_product(left, right)
-    if isinstance(e, Semidirect):
-        k_table = _eval(e.k_expr, names)
-        h_table = _eval(e.h_expr, names)
-        action = _resolve_action(e, k_table, h_table)
-        return semidirect(k_table, h_table, action)
-    raise TypeError(f"not a group expression: {e!r}")
+        table = cyclic(e.n, names.next_name())
+    elif isinstance(e, Dihedral):
+        table = dihedral(e.n)
+    elif isinstance(e, Holomorph):
+        table = holomorph(e.n)
+    else:
+        raise TypeError(f"not a group expression: {e!r}")
+    for node in reversed(spine):
+        if isinstance(node, Product):
+            table = direct_product(table, _eval(node.right, names))
+        else:
+            h_table = _eval(node.h_expr, names)
+            table = semidirect(table, h_table, _resolve_action(node, table, h_table))
+    return table
 
 
 def eval_expr(e: GroupExpr) -> GroupTable:

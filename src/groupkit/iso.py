@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import chain, product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm, log, prod
 
 from .core import (
     GroupTable,
@@ -16,9 +16,8 @@ from .core import (
     subgroup_generated,
 )
 from ._search import search_morphisms
-from .aut import _abelian_p_exponents
 from .construct import cyclic, dihedral, direct_product, power_action, semidirect
-from .numth import multiplicative_order, totatives
+from .numth import factorize, multiplicative_order, totatives
 
 SEMIDIRECT_POOL_LIMIT = 128
 
@@ -63,11 +62,28 @@ def abelian_invariants(g: GroupTable) -> list[int]:
     return _invariant_factors(g)
 
 
+def _abelian_p_exponents(g: GroupTable) -> dict[int, list[int]]:
+    """For abelian G, each prime p of |G| with the ascending e_i of its p-part.
+
+    G is the product of its p-parts, and every x with x^(p^j) = e lies in the
+    p-part Z_{p^e_1} x ... x Z_{p^e_k}, whose i-th coordinate holds
+    p^min(e_i, j) such elements. So p^(sum_i min(e_i, j)) elements of G have
+    order dividing p^j. That exponent rises from j - 1 to j by r_j, the number
+    of e_i >= j, and r_j - r_{j+1} of the e_i equal j. G must be abelian.
+    """
+    exponents = {}
+    for p, m in factorize(g.order):
+        sums = [round(log(sum(1 for d in g.orders if p**j % d == 0), p)) for j in range(m + 1)]
+        r = [b - a for a, b in zip(sums, sums[1:])] + [0]  # r[j - 1] = r_j
+        exponents[p] = [j for j in range(1, m + 1) for _ in range(r[j - 1] - r[j])]
+    return exponents
+
+
 def _invariant_factors(g: GroupTable) -> list[int]:
     """abelian_invariants of G, which the caller has checked to be abelian.
 
     Read from the element orders: G is the product of its p-parts, each
-    Z_{p^e_1} x ... x Z_{p^e_j} with e ascending (aut._abelian_p_exponents).
+    Z_{p^e_1} x ... x Z_{p^e_j} with e ascending (_abelian_p_exponents).
     Align every prime's exponents from the largest, padding with zeros, and
     set d_t = prod_p p^(e_p,t). Each prime's exponents ascend, so
     d_t | d_{t+1}; Z_{d_t} = prod_p Z_{p^(e_p,t)} by the Chinese remainder

@@ -372,8 +372,9 @@ def run_all(max_n: int | None = None,
     thm4.1 for the multiples of 4 up to 12, dihedral n = 3..12, action
     equivalence over m <= 12 and n <= 6, and the characteristic theorems over
     m*n <= 60. With max_n = N, table1 runs n = 2..N, even past 20; every other
-    sweep bound becomes the smaller of its default and N. The prime-power, elementary-abelian and Z8 sections ignore max_n.
-    negative_control appends two claims built to fail.
+    sweep bound becomes the smaller of its default and N. The prime-power,
+    elementary-abelian and Z8 sections ignore max_n. negative_control appends
+    two claims built to fail.
     """
     def bound(default: int) -> int:
         return default if max_n is None else min(default, max_n)

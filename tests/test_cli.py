@@ -170,6 +170,14 @@ class TestErrorHandling:
         assert main(["info", "Z9999"]) == 3
         assert "cap" in capsys.readouterr().err
 
+    def test_long_chains_exit_without_a_traceback(self, capsys):
+        assert main(["info", " x ".join(["Z1"] * 1200)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "order: 1"
+        assert main(["info", "Z1" + " : Z1 [r^1]" * 1200]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the r^i action form needs cyclic groups")
+
     def test_aut_cap_error_exits_three(self, capsys):
         assert main(["aut", "Z2 x Z2 x Z2 x Z2"]) == 3
         assert "automorphisms" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Constructors: cyclic, dihedral, products, actions, holomorph, splits."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -412,3 +414,21 @@ def test_semidirect_tables_always_pass_axioms(data):
     g = semidirect(k, h, a)
     assert g.order == k_n * h_n
     assert verify_group_axioms(g).ok
+
+
+def test_searches_leave_no_reference_cycles():
+    # a recursive closure holds itself through its cell, and with it the search state
+    z6 = direct_product(cyclic(6), cyclic(6))
+    hol, d8 = holomorph(11), dihedral(8)
+    calls = [lambda: hom_set(z6, z6), lambda: are_isomorphic(hol, hol),
+             lambda: automorphisms(dihedral(6)),
+             lambda: recognize_split(d8, subgroup_generated(d8, [2])),
+             lambda: recognize_split(cyclic(4), subgroup_generated(cyclic(4), [2]))]
+    gc.collect()
+    gc.disable()
+    try:
+        for call in calls:
+            call()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupkit.core
-from groupkit.aut import automorphisms
+from groupkit.aut import aut_group, automorphisms
 from groupkit.construct import (
     cyclic,
     dihedral,
@@ -21,6 +21,7 @@ from groupkit.core import (
     SubgroupRef,
     center,
     element_order,
+    grow_closure,
     identity_morphism,
     is_abelian,
     is_normal,
@@ -32,6 +33,7 @@ from groupkit.core import (
     to_json_dict,
     verify_group_axioms,
 )
+from groupkit.expr import parse_and_eval
 from groupkit.iso import are_isomorphic
 
 Z2_MUL = [[0, 1], [1, 0]]
@@ -133,6 +135,13 @@ class TestMakeTable:
             make_table([[0, 1], [1, -1]])
         with pytest.raises(ValueError, match="identity"):
             make_table([])
+
+    def test_rejects_names_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="1 names given for 2 elements"):
+            make_table(Z2_MUL, names=["e"])
+        with pytest.raises(ValueError, match="3 names given for 2 elements"):
+            make_table(Z2_MUL, names=["e", "a", "b"])
+        assert make_table(Z2_MUL, names=["e", "a"]).name_of(1) == "a"
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -390,6 +399,54 @@ class TestDerivedData:
                 assert g.mul[x][y] == p
                 listed.append(p)
         assert sorted(listed) == list(range(g.order))
+
+
+def _greedy_by_full_closures(g: GroupTable):
+    """gens_and_plans by the earlier rule: every trial sized by a full
+    grow_closure, and at index 2 or 3 the lowest outside element taken untried."""
+    n, mul, orders = g.order, g.mul, g.orders
+    have, gens, plans = [g.identity], [], []
+    while len(have) < n:
+        inside = set(have)
+        if not gens:
+            x = max(range(n), key=lambda x: (orders[x], -x))
+        elif 4 * len(have) > n:
+            x = next(x for x in range(n) if x not in inside)
+        else:
+            size = 0
+            for y in range(n):
+                if y not in inside:
+                    grown = len(grow_closure(mul, have, y))
+                    if grown > size:
+                        x, size = y, grown
+                    inside.update(mul[h][y] for h in have)
+        steps = []
+        have = grow_closure(mul, have, x, steps)
+        gens.append(x)
+        plans.append(tuple(steps))
+    return tuple(gens), tuple(plans)
+
+
+_GREEDY_EXPRS = [
+    "Z1", "Z12", "D6", "Hol 7", "Hol 8", "Hol 12", "Z2 x Z2 x Z2", "Z2 x Z2 x Z2 x Z2",
+    "Z4 x Z4", "Z6 x Z6", "Z3 x Z3 x Z3", "Z2 x Z4 x Z8", "Z2 x Z2 x Z3 x Z3", "D4 x Z2",
+    "D4 x D4", "Z3 x D5", "Z2 x Z2 x D8", "Z8 : Z2 [r^3]", "Z8 : Z2 [r^5]", "Z7 : Z3 [r^2]",
+    "Z16 : Z4 [r^3]", "Z9 : Z6 [r^2]", "(Z2 x D4) : Z2 [#1]", "Z3 x Z8 : Z2 [r^3]",
+]
+
+
+class TestGreedyGenerators:
+    @pytest.mark.parametrize("expr", _GREEDY_EXPRS)
+    def test_coset_trials_pick_what_full_closures_picked(self, expr):
+        g = parse_and_eval(expr)
+        for table in (g, _relabelled(g, 1), _relabelled(g, g.order // 2 + 1)):
+            assert table.gens_and_plans == _greedy_by_full_closures(table)
+
+    @pytest.mark.parametrize("expr", ["Z8 x Z2 x Z2", "Hol 8"])
+    def test_on_aut_tables(self, expr):
+        table = aut_group(parse_and_eval(expr)).table
+        for t in (table, _relabelled(table, 7)):
+            assert t.gens_and_plans == _greedy_by_full_closures(t)
 
 
 class TestJson:

@@ -157,10 +157,22 @@ class TestEval:
         g = parse_and_eval("Z4 x Z3")
         assert g.elem_names[:4] == ("e", "s", "s^2", "r")
         assert g.name_of(3 * 3 + 1) == "r^3·s"
+        # in a chain r, s, t and u go to Z2, Z3, Z1 and Z5
+        g = parse_and_eval("Z2 x Z3 : Z1 [r^1] x Z5")
+        assert [g.elem_names[x] for x in g.gens_and_plans[0]] == ["r·s·u"]
+        assert parse_and_eval("Z2 : Z1 [#0] x Z3").elem_names[:3] == ("e", "t", "t^2")
 
     def test_holomorph_leaf(self):
         assert parse_and_eval("Hol 5").order == 20
         assert parse_and_eval("Hol 1").order == 1
+
+    def test_long_chains_evaluate_without_deep_recursion(self):
+        # one Python frame per operator overflowed the stack at about 1,000 operators
+        assert parse_and_eval(" x ".join(["Z1"] * 1200)).order == 1
+        assert parse_and_eval("Z2" + " x Z1" * 1200).order == 2
+        assert parse_and_eval("Z3" + " : Z1 [#0]" * 1200).order == 3
+        with pytest.raises(ExprEvalError, match="cyclic groups on both sides"):
+            parse_and_eval("Z1" + " : Z1 [r^1]" * 1200)
 
 
 def _expr_strategy(max_leaves: int = 6):

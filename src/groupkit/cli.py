@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .aut import aut_group
 from .construct import action_classes, hom_set
@@ -133,7 +134,13 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.ok else EXIT_NEGATIVE
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first main call and kept for the process.
+
+    It holds no handlers: main looks up _cmd_<command> when it runs, so a
+    rebinding of a handler after the first call still takes effect.
+    """
     parser = argparse.ArgumentParser(
         prog="groupkit",
         description=(
@@ -154,26 +161,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("info", help="print order, abelian flag, center size, order spectrum")
     p.add_argument("expr", help="group expression")
-    p.set_defaults(handler=_cmd_info)
 
     p = sub.add_parser("aut", help="compute the automorphism group")
     p.add_argument("expr", help="group expression")
     p.add_argument("--json", action="store_true", help="emit the Aut Cayley table as JSON")
-    p.set_defaults(handler=_cmd_aut)
 
     p = sub.add_parser("iso", help="test two groups for isomorphism (exit 0 yes, 1 no)")
     p.add_argument("expr1", help="first group expression")
     p.add_argument("expr2", help="second group expression")
-    p.set_defaults(handler=_cmd_iso)
 
     p = sub.add_parser("identify", help="name the group against the catalog")
     p.add_argument("expr", help="group expression")
-    p.set_defaults(handler=_cmd_identify)
 
     p = sub.add_parser("table", help="print the multiplication table")
     p.add_argument("expr", help="group expression")
     p.add_argument("--json", action="store_true", help="emit the Cayley table as JSON")
-    p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("homs", help="count homomorphisms H -> K")
     p.add_argument("h_expr", help="source group expression H")
@@ -183,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also partition the actions of H on K into equivalence classes",
     )
-    p.set_defaults(handler=_cmd_homs)
 
     p = sub.add_parser(
         "verify-paper",
@@ -202,16 +203,15 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="append deliberately failing checks to exercise the failure path",
     )
-    p.set_defaults(handler=_cmd_verify_paper)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.handler(args)
+        return handler(args)
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, combinations, islice
+from math import gcd
 from operator import itemgetter
-from typing import Iterable, Sequence, Union
+from typing import Collection, Iterable, Sequence, Union
 
 DEFAULT_SIZE_CAP = 4096
 
@@ -28,7 +29,12 @@ class GroupTable:
 
     Derived data (element orders, generating sequence, extension plans) is
     computed on first use and cached on the instance; it is not a field, so
-    it never affects eq, hash or repr.
+    it never affects eq, hash or repr. The orders cost O(n) products up to a
+    log log n factor, and each step of the generating sequence one coset
+    walk of O(|<H, y>| * (d + 1)) products per right coset of the subgroup H
+    grown so far, then one closure walk that stops at the size the winning
+    trial found. The queries below (is_abelian, center, is_normal, subgroup
+    checks) test generators only, so none of them reads all n^2 products.
     """
 
     order: int
@@ -39,8 +45,32 @@ class GroupTable:
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
-        """orders[x] is the order of element x."""
-        return tuple(element_order(self, x) for x in range(self.order))
+        """orders[x] is the order of element x; ValueError when the powers of
+        some element miss the identity for |G| steps, which no group allows.
+
+        One walk per cyclic subgroup: for each x whose order is still unknown,
+        the powers x, x^2, ..., x^k = e list <x>, and in a group
+        ord(x^j) = k / gcd(j, k), so the walk sets the order of every power.
+        It sets at least the phi(k) generators of <x> for the first time (a
+        generator seen before would have listed <x> already), so the walks
+        take at most n * max k/phi(k) products.
+        """
+        n, mul, e = self.order, self.mul, self.identity
+        orders = [0] * n
+        for x in range(n):
+            if orders[x]:
+                continue
+            powers, y = [x], x
+            while y != e:
+                if len(powers) == n:
+                    raise ValueError(f"powers of element {x} never reach the identity; "
+                                     "the table is not a group")
+                y = mul[y][x]
+                powers.append(y)
+            k = len(powers)
+            for j, p in enumerate(powers, 1):
+                orders[p] = k // gcd(j, k)
+        return tuple(orders)
 
     @cached_property
     def gens_and_plans(self) -> tuple[tuple[int, ...], tuple[tuple[Step, ...], ...]]:
@@ -48,8 +78,11 @@ class GroupTable:
 
         The sequence repeatedly adds the element whose inclusion grows the
         generated subgroup the most, breaking ties by lowest index; it is
-        empty for the trivial group. Each trial is sized by _coset_closure_size
-        and the chosen element's closure is grown by grow_closure. plans[t]
+        empty for the trivial group. Each trial is sized by _coset_closure,
+        and the chosen element's closure is grown by grow_closure, which stops
+        once it has listed the size already known: orders[x] for the first
+        generator, the winning trial's size for each later one. No trial can
+        beat one that reached n, so the trials stop there. plans[t]
         lists steps (p, x, y) with p = x*y, meaning: once generators 0..t have
         images, the image of p is forced as img[x]*img[y]. Walking the plans
         in order assigns every element of the group exactly once.
@@ -61,17 +94,20 @@ class GroupTable:
         while len(have) < n:
             if not gens:
                 x = max(range(n), key=lambda x: (orders[x], -x))
+                size = orders[x]
             else:
                 # <have, h*x> = <have, x> for h in have, so one trial per coset
                 inside, size = set(have), 0
                 for y in range(n):
                     if y not in inside:
-                        grown = _coset_closure_size(mul, have, gens, y)
+                        grown = len(_coset_closure(mul, have, gens, y))
                         if grown > size:
                             x, size = y, grown
+                            if size == n:
+                                break
                         inside.update(mul[h][y] for h in have)
             steps: list[Step] = []
-            have = grow_closure(mul, have, x, steps)
+            have = grow_closure(mul, have, x, steps, size)
             gens.append(x)
             plans.append(tuple(steps))
         return tuple(gens), tuple(plans)
@@ -137,7 +173,15 @@ def identity_morphism(g: GroupTable) -> Morphism:
 
 @dataclass(frozen=True)
 class SubgroupRef:
-    """A subgroup of `parent`, stored as a sorted tuple of element indices."""
+    """A subgroup of `parent`, stored as a sorted tuple of element indices.
+
+    The set S is checked in O(|S| * d) products, d <= log2 |S|: it must hold
+    the identity, and S*b must lie in S for each of its greedy generators b,
+    the members in ascending order that lie outside the subgroup generated by
+    the ones before, grown by _coset_closure. That suffices in a group: S
+    then holds e*b_1*...*b_k for any such b_i, so it holds <B> for the set B
+    of them, and every member lies in <B> by the choice of B, so S = <B>.
+    """
 
     parent: GroupTable
     members: tuple[int, ...]
@@ -149,14 +193,18 @@ class SubgroupRef:
         inside = set(mem)
         if g.identity not in inside:
             raise ValueError("subgroup must contain the identity")
-        for a in mem:
+        for a in (mem[0], mem[-1]):
             if not 0 <= a < g.order:
                 raise ValueError(f"element index {a} out of range")
-            if g.inv[a] not in inside:
-                raise ValueError(f"not closed under inverse at element {a}")
-            for b in mem:
-                if g.mul[a][b] not in inside:
+        mul = g.mul
+        closure, gens = {g.identity}, []
+        for b in mem:
+            if b not in closure:
+                if not inside.issuperset([mul[a][b] for a in mem]):
+                    a = next(a for a in mem if mul[a][b] not in inside)
                     raise ValueError(f"not closed under product at ({a}, {b})")
+                closure = _coset_closure(mul, closure, gens, b)
+                gens.append(b)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -295,19 +343,14 @@ def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None,
 
 
 def element_order(g: GroupTable, x: int) -> int:
-    """Least k >= 1 with x^k = e; ValueError when no k <= |G| works.
+    """Least k >= 1 with x^k = e, read from g.orders.
 
-    In a group the order divides |G|, so a table whose powers of x miss the
-    identity for |G| steps is not associative.
+    ValueError when the powers of some element of g miss the identity for |G|
+    steps: in a group every order divides |G|, so such a table is not one.
     """
     if not 0 <= x < g.order:
         raise IndexError(f"element index {x} out of range for order-{g.order} group")
-    y = x
-    for k in range(1, g.order + 1):
-        if y == g.identity:
-            return k
-        y = g.mul[y][x]
-    raise ValueError(f"powers of element {x} never reach the identity; the table is not a group")
+    return g.orders[x]
 
 
 def order_spectrum(g: GroupTable) -> dict[int, int]:
@@ -319,59 +362,77 @@ def order_spectrum(g: GroupTable) -> dict[int, int]:
 
 
 def is_abelian(g: GroupTable) -> bool:
+    """True when the generators of g commute pairwise, O(d^2) products.
+
+    That suffices: the centraliser of a generator is a subgroup holding every
+    generator, so it is G; so each generator lies in the centre, a subgroup
+    that then is G as well.
+    """
     mul = g.mul
-    return all(mul[a][b] == mul[b][a] for a in range(g.order) for b in range(a + 1, g.order))
+    return all(mul[a][b] == mul[b][a] for a, b in combinations(g.gens_and_plans[0], 2))
 
 
 def center(g: GroupTable) -> SubgroupRef:
-    mul = g.mul
-    members = [a for a in range(g.order)
-               if all(mul[a][b] == mul[b][a] for b in range(g.order))]
+    """Z(G): the elements that commute with each generator, O(d*n) products.
+
+    That suffices: the centraliser of z is a subgroup, so it is G once it
+    holds every generator.
+    """
+    mul, members = g.mul, range(g.order)
+    for x in g.gens_and_plans[0]:
+        rx = mul[x]
+        members = [z for z in members if mul[z][x] == rx[z]]
     return SubgroupRef(g, tuple(members))
 
 
-def _coset_closure_size(mul, subgroup: Sequence[int], gens: Sequence[int], y: int) -> int:
-    """|<H, y>| for the subgroup H = <gens> listed in `subgroup`, by Dimino's
-    coset closure (Butler, Fundamental Algorithms for Permutation Groups,
-    LNCS 559, 1991), in O(|<H, y>| * (d + 1)) products.
+def _coset_closure(mul, subgroup: Collection[int], gens: Sequence[int], y: int) -> set[int]:
+    """The members of <H, y> for the subgroup H = <gens> whose members are
+    `subgroup`, by Dimino's coset closure (Butler, Fundamental Algorithms for
+    Permutation Groups, LNCS 559, 1991), in O(|<H, y>| * (d + 1)) products.
 
     U, the union of the right cosets H*r for the representatives r found so
-    far, starts as H, represented by its first listed element; while some r*s
+    far, starts as H, represented by one of its members; while some r*s
     with s in gens or y lies outside U, H*(r*s) joins U. At the end r*s lies
     in U for every r and s, so u*s = h*(r*s) lies in H*U = U for u = h*r.
     U holds e and is closed under right multiplication by generators of
     <H, y>, so it holds every product of them, which in a finite group is all
-    of <H, y>; U lies inside <H, y>, so its size is |<H, y>|.
+    of <H, y>; U lies inside <H, y>, so it is <H, y>.
     """
-    members, reps = set(subgroup), [subgroup[0]]
+    members, reps = set(subgroup), [next(iter(subgroup))]
     for r in reps:  # list iterators see representatives appended while they run
         row = mul[r]
         for s in (*gens, y):
             if row[s] not in members:
                 reps.append(row[s])
                 members.update(mul[h][row[s]] for h in subgroup)
-    return len(members)
+    return members
 
 
-def grow_closure(mul, closed: Sequence[int], x: int,
-                 steps: list[Step] | None = None) -> list[int]:
+def grow_closure(mul, closed: Sequence[int], x: int, steps: list[Step] | None = None,
+                 size: int | None = None) -> list[int]:
     """The closure of a product-closed set plus one element, in BFS order.
 
     `closed` lists a set closed under products; the result lists it
     unchanged, then x and every new product in the order it is found: for
     each new a in turn and each b listed so far, a*b then b*a. When steps is
     given, each new element p = u*v is recorded as (p, u, v).
+
+    A full walk costs O(m^2) products for a closure of m elements. Given
+    size = m, the walk stops once it has listed m elements, which changes
+    neither the list nor the steps: a step is recorded only when an element
+    is listed, and a complete closure has none left to list.
     """
     members = set(closed)
     grown = list(closed)
     if x in members:
         return grown
 
-    def add(p: int, u: int, v: int) -> None:
+    def add(p: int, u: int, v: int) -> bool:
         members.add(p)
         grown.append(p)
         if steps is not None:
             steps.append((p, u, v))
+        return len(grown) == size
 
     members.add(x)
     grown.append(x)
@@ -379,34 +440,43 @@ def grow_closure(mul, closed: Sequence[int], x: int,
     for a in islice(grown, len(closed), None):
         ra = mul[a]
         for b in grown:
-            if ra[b] not in members:
-                add(ra[b], a, b)
-            if mul[b][a] not in members:
-                add(mul[b][a], b, a)
+            if ra[b] not in members and add(ra[b], a, b):
+                return grown
+            if mul[b][a] not in members and add(mul[b][a], b, a):
+                return grown
     return grown
 
 
 def subgroup_generated(g: GroupTable, gens: Iterable[int]) -> SubgroupRef:
+    """<gens>, grown one generator at a time by _coset_closure."""
     gens = list(gens)
     for x in gens:
         if not 0 <= x < g.order:
             raise IndexError(f"generator index {x} out of range")
-    closed = [g.identity]
+    closure, used = {g.identity}, []
     for x in gens:
-        closed = grow_closure(g.mul, closed, x)
-    return SubgroupRef(g, tuple(closed))
+        if x not in closure:
+            closure = _coset_closure(g.mul, closure, used, x)
+            used.append(x)
+    return SubgroupRef(g, tuple(closure))
 
 
 def is_normal(g: GroupTable, h: SubgroupRef) -> bool:
+    """True when x^-1*a*x lies in H for each a in H and each generator x of
+    G, O(d*|H|) products.
+
+    That suffices: the x with x^-1*H*x inside H are closed under products,
+    as (xy)^-1*H*(xy) = y^-1*(x^-1*H*x)*y, so they form a subgroup of the
+    finite group G, which is G once it holds every generator.
+    """
     if h.parent != g:
         raise ValueError("subgroup belongs to a different parent group")
     mem = set(h.members)
     mul, inv = g.mul, g.inv
-    for x in range(g.order):
+    for x in g.gens_and_plans[0]:
         xi = inv[x]
-        for a in h.members:
-            if mul[mul[x][a]][xi] not in mem:
-                return False
+        if not mem.issuperset([mul[mul[xi][a]][x] for a in h.members]):
+            return False
     return True
 
 

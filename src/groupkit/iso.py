@@ -4,16 +4,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, reduce
-from itertools import chain, product
+from itertools import chain, combinations, product
 from math import gcd, isqrt, lcm, log, prod
 
 from .core import (
     GroupTable,
     Morphism,
+    _coset_closure,
     is_abelian,
     center,
     order_spectrum,
-    subgroup_generated,
 )
 from ._search import search_morphisms
 from .construct import cyclic, dihedral, direct_product, power_action, semidirect
@@ -23,18 +23,33 @@ SEMIDIRECT_POOL_LIMIT = 128
 
 
 def _derived_size(g: GroupTable) -> int:
-    mul, inv = g.mul, g.inv
-    comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]]
-             for a in range(g.order) for b in range(a + 1, g.order)}
-    return len(subgroup_generated(g, comms).members)
+    """|G'|, grown as the normal closure N of the commutators a^-1*b^-1*a*b of
+    pairs of generators, in about |G'| * log|G'| + d^2 products.
+
+    Each generator t that _coset_closure adds to N queues its conjugates
+    x^-1*t*x by the generators x of G, so at the end x^-1*N*x lies in N for
+    each x, and N is normal (see is_normal). N lies in G', a normal subgroup
+    holding every commutator. G/N is generated by the images of G's
+    generators, which commute, so it is abelian and G' lies in N.
+    """
+    mul, inv, gens = g.mul, g.inv, g.gens_and_plans[0]
+    pending = [mul[mul[inv[a]][inv[b]]][mul[a][b]] for a, b in combinations(gens, 2)]
+    closure, used = {g.identity}, []
+    for t in pending:  # list iterators see conjugates appended while they run
+        if t not in closure:
+            closure = _coset_closure(mul, closure, used, t)
+            used.append(t)
+            pending.extend(mul[mul[inv[x]][t]][x] for x in gens)
+    return len(closure)
 
 
 def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:
     """A verified isomorphism G1 -> G2, or None.
 
-    Cheap invariants run first (order, abelianness, order spectrum, center
-    size, derived subgroup size); only then does the generator-image
-    backtracking search start.
+    Cheap invariants run first: order, abelianness, order spectrum, center
+    size and derived subgroup size, each read from the cached orders or
+    generators in O(d*n) products (up to log factors), never from all n^2
+    products. Only then does the generator-image backtracking search start.
     """
     if g1.order != g2.order:
         return None

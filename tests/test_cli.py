@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import groupkit
+import groupkit.cli
 from groupkit.cli import main
 from groupkit.core import to_json_dict
 from groupkit.expr import parse_and_eval
@@ -191,6 +192,42 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate", "Z2"])
         assert exc.value.code == 2
+
+
+class TestCachedParser:
+    """main builds its parser once per process and looks its handler up per call."""
+
+    CALLS = [["info", "Z8 : Z2 [r^3]"], ["iso", "Z6", "D3"], ["iso", "Z2 x Z3", "Z6"],
+             ["identify", "Z2 x D4"], ["table", "Z3", "--json"], ["homs", "Z2", "Z4"]]
+
+    def _run(self, capsys, argv):
+        code = main(argv)
+        return code, capsys.readouterr().out
+
+    def test_repeated_calls_give_the_same_output(self, capsys):
+        first = [self._run(capsys, argv) for argv in self.CALLS]
+        assert [code for code, _ in first] == [0, 1, 0, 0, 0, 0]
+        assert [self._run(capsys, argv) for argv in self.CALLS] == first
+
+    def test_a_usage_error_leaves_the_parser_working(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["iso", "Z2"])
+        assert exc.value.code == 2
+        assert "expr2" in capsys.readouterr().err
+        assert self._run(capsys, ["identify", "Z6"]) == (0, "Z6\n")
+
+    def test_a_handler_rebound_after_the_first_call_runs(self, capsys, monkeypatch):
+        assert self._run(capsys, ["aut", "Z5"])[0] == 0
+        seen = []
+
+        def fake(args):
+            seen.append(args.expr)
+            return 7
+
+        monkeypatch.setattr(groupkit.cli, "_cmd_aut", fake)
+        assert main(["aut", "Z5"]) == 7
+        assert seen == ["Z5"]
+        assert groupkit.cli._build_parser() is groupkit.cli._build_parser()
 
 
 class TestConsoleScript:

@@ -34,7 +34,7 @@ from groupkit.core import (
     verify_group_axioms,
 )
 from groupkit.expr import parse_and_eval
-from groupkit.iso import are_isomorphic
+from groupkit.iso import _derived_size, are_isomorphic
 
 Z2_MUL = [[0, 1], [1, 0]]
 Z3_MUL = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -172,6 +172,8 @@ class TestElementOrders:
         g = make_table([[0, 1, 2, 3], [1, 1, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
         with pytest.raises(ValueError, match="element 1"):
             g.orders
+        with pytest.raises(ValueError, match="element 1"):
+            element_order(g, 2)  # 2*2 = 0, but the table's orders are read as a whole
 
     @pytest.mark.parametrize(
         "g, spectrum",
@@ -447,6 +449,103 @@ class TestGreedyGenerators:
         table = aut_group(parse_and_eval(expr)).table
         for t in (table, _relabelled(table, 7)):
             assert t.gens_and_plans == _greedy_by_full_closures(t)
+
+
+def _order_by_powers(g: GroupTable, x: int) -> int:
+    y = x
+    for k in range(1, g.order + 1):
+        if y == g.identity:
+            return k
+        y = g.mul[y][x]
+    raise ValueError(f"powers of element {x} never reach the identity")
+
+
+def _abelian_by_scan(g: GroupTable) -> bool:
+    mul = g.mul
+    return all(mul[a][b] == mul[b][a] for a in range(g.order) for b in range(a + 1, g.order))
+
+
+def _center_by_scan(g: GroupTable) -> tuple[int, ...]:
+    mul = g.mul
+    return tuple(a for a in range(g.order) if all(mul[a][b] == mul[b][a] for b in range(g.order)))
+
+
+def _normal_by_scan(g: GroupTable, members) -> bool:
+    mem, mul, inv = set(members), g.mul, g.inv
+    return all(mul[mul[x][a]][inv[x]] in mem for x in range(g.order) for a in members)
+
+
+def _closed_by_scan(g: GroupTable, members) -> bool:
+    mem = set(members)
+    return g.identity in mem and all(
+        g.inv[a] in mem and all(g.mul[a][b] in mem for b in mem) for a in mem)
+
+
+def _derived_size_by_scan(g: GroupTable) -> int:
+    mul, inv = g.mul, g.inv
+    comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]]
+             for a in range(g.order) for b in range(a + 1, g.order)}
+    closed = {g.identity}
+    while True:  # close under products until nothing new appears
+        grown = closed | comms | {mul[a][b] for a in closed | comms for b in closed | comms}
+        if grown == closed:
+            return len(closed)
+        closed, comms = grown, set()
+
+
+def _cyclic_subgroups(g: GroupTable):
+    """The powers of each element, as the members of the subgroup it generates."""
+    for x in range(g.order):
+        powers, y = [g.identity], x
+        while y != g.identity:
+            powers.append(y)
+            y = g.mul[y][x]
+        yield powers
+
+
+# in A4, (Z2 x Z2) : Z3 [#1], the generators' one commutator spans a Z2 of G' = Z2 x Z2
+_SHORTCUT_POOL = _PLAN_POOL + [
+    t for expr in [*_GREEDY_EXPRS, "(Z2 x Z2) : Z3 [#1]"] for g in [parse_and_eval(expr)]
+    for t in (g, _relabelled(g, g.order // 2 + 1))]
+
+
+class TestGeneratorShortcuts:
+    """The generator-only invariants and subgroup checks against full scans."""
+
+    @pytest.mark.parametrize("g", _SHORTCUT_POOL, ids=repr)
+    def test_invariants_match_full_scans(self, g):
+        assert g.orders == tuple(_order_by_powers(g, x) for x in range(g.order))
+        assert is_abelian(g) == _abelian_by_scan(g)
+        assert center(g).members == _center_by_scan(g)
+        assert _derived_size(g) == _derived_size_by_scan(g)
+
+    @pytest.mark.parametrize("g", _SHORTCUT_POOL, ids=repr)
+    def test_subgroup_checks_match_full_scans(self, g):
+        seen = set()
+        for powers in _cyclic_subgroups(g):
+            h = SubgroupRef(g, powers)
+            assert is_normal(g, h) == _normal_by_scan(g, powers)
+            assert subgroup_generated(g, powers[1:2]) == h
+            # a cyclic subgroup plus its lowest outside element: accepted iff the scan accepts it
+            y = next((y for y in range(g.order) if y not in h.members), None)
+            if y is None or (frozenset(powers), y) in seen:
+                continue
+            seen.add((frozenset(powers), y))
+            members = (*powers, y)
+            if _closed_by_scan(g, members):
+                assert SubgroupRef(g, members).members == tuple(sorted(members))
+            else:
+                with pytest.raises(ValueError, match="not closed under product at") as err:
+                    SubgroupRef(g, members)
+                a, b = map(int, str(err.value).split("at (")[1].rstrip(")").split(", "))
+                assert a in members and b in members and g.mul[a][b] not in members
+
+    def test_rejects_a_set_whose_first_element_multiplies_into_it(self):
+        g = direct_product(cyclic(4), cyclic(2))  # index 2k + h: 1 = (0, 1), 2 = (1, 0)
+        members = (0, 1, 2, 3)  # 1*S = S*1 = S, but 2*2 = 4
+        assert all(g.mul[1][a] in members and g.mul[a][1] in members for a in members)
+        with pytest.raises(ValueError, match=r"not closed under product at \(2, 2\)"):
+            SubgroupRef(g, members)
 
 
 class TestJson:

@@ -19,7 +19,7 @@ from .core import (
     Morphism,
     SizeCapError,
     SubgroupRef,
-    grow_closure,
+    _coset_closure,
     identity_morphism,
     is_normal,
     make_table,
@@ -234,22 +234,21 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
     if rem:
         raise ValueError("subgroup size does not divide group order")
 
-    def extend(members: list[int], start: int) -> list[int] | None:
+    def extend(members: set[int], gens: list[int], start: int) -> set[int] | None:
         if len(members) == q:
             return members
-        inside = set(members)
         for x in range(start, n):
-            if x in inside or x in kset:
+            if x in members or x in kset:
                 continue
-            grown = grow_closure(g.mul, members, x)
-            if len(grown) > q or q % len(grown) or len(kset.intersection(grown)) > 1:
+            grown = _coset_closure(g.mul, members, gens, x)
+            if q % len(grown) or len(kset.intersection(grown)) > 1:
                 continue
-            found = extend(grown, x + 1)
+            found = extend(grown, [*gens, x], x + 1)
             if found is not None:
                 return found
         return None
 
-    comp = extend([g.identity], 0)
+    comp = extend({g.identity}, [], 0)
     del extend  # extend holds itself through its closure cell; free it without the cyclic GC
     if comp is None:
         return None

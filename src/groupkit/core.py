@@ -273,11 +273,15 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
     malformed dimensions are reported distinctly from axiom failures.
 
     Associativity is Light's test, O(d*n^2): (a*b)*c = a*(b*c) for all a, c
-    and each b in a generating set grown from the identity by grow_closure,
-    which closes under products only. That suffices in any magma: the b that
-    pass form a set A holding e, and for b, b' in A, (a*(bb'))*c = ((a*b)*b')*c
-    = (a*b)*(b'*c) = a*(b*(b'*c)) = a*((bb')*c); so A holds the closure of the
-    generators, the whole table. The witness fails but is not always the first.
+    and each b kept by a walk over the elements: b is kept when it is not yet
+    listed, and the listing then grows by _coset_closure. That suffices in
+    any table, group or not: the b that pass form a set A holding e, and for
+    b, b' in A, (a*(bb'))*c = ((a*b)*b')*c = (a*b)*(b'*c) = a*(b*(b'*c)) =
+    a*((bb')*c), so A is closed under products. Each element the walk lists
+    is a product of listed ones (r*s or h*(r*s) there), so every b it skips
+    lies in the product closure of the kept ones, which A holds; so A is the
+    whole table. The walk ends because e*x = x for the identity checked
+    first. The witness fails but is not always the first.
     """
     # rows as tuples, which compare equal to the tuples itemgetter returns
     if isinstance(candidate, GroupTable):
@@ -305,10 +309,11 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
     if isinstance(found, AxiomVerdict):
         return found
 
-    have = [found[0]]
+    have, kept = {found[0]}, []
     for b in range(n):
         if b not in have:
-            have = grow_closure(mul, have, b)
+            have = _coset_closure(mul, have, kept, b)
+            kept.append(b)
             a_bc = itemgetter(*mul[b])  # a_bc(mul[a])[c] = a*(b*c); n > 1 here
             for a, ra in enumerate(mul):
                 if mul[ra[b]] != a_bc(ra):

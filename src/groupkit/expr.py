@@ -28,9 +28,11 @@ detected when the expression is evaluated to a table.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from itertools import chain, count
 from math import gcd
-from typing import NoReturn, Union
+from typing import Iterator, NoReturn, Union
 
 from .construct import (
     Action, actions, cyclic, dihedral, direct_product, holomorph, power_action, semidirect)
@@ -112,35 +114,15 @@ GroupExpr = Union[Cyclic, Dihedral, Holomorph, Product, Semidirect]
 
 MAX_NESTING_DEPTH = 64
 
-_KEYWORDS = (("Hol", "HOL"), ("Z", "Z"), ("D", "D"), ("r^", "RPOW"))
-_SINGLE_CHARS = {
-    "x": "X",
-    ":": "COLON",
-    "[": "LBRACK",
-    "]": "RBRACK",
-    "(": "LPAREN",
-    ")": "RPAREN",
-    "#": "HASH",
-}
-_TOKEN_DISPLAY = {
-    "Z": "'Z'",
-    "D": "'D'",
-    "HOL": "'Hol'",
-    "INT": "integer",
-    "X": "'x'",
-    "COLON": "':'",
-    "LBRACK": "'['",
-    "RBRACK": "']'",
-    "LPAREN": "'('",
-    "RPAREN": "')'",
-    "RPOW": "'r^'",
-    "HASH": "'#'",
-    "EOF": "end of input",
-}
-_ALL_TOKENS = (
-    "'Z'", "'D'", "'Hol'", "'r^'", "integer",
-    "'x'", "':'", "'['", "']'", "'('", "')'", "'#'",
-)
+# every token kind, in the order a syntax error lists them; each kind but INT is its own text
+_KINDS = ("Z", "D", "Hol", "r^", "INT", "x", ":", "[", "]", "(", ")", "#")
+_LEAVES = {"Z": Cyclic, "D": Dihedral, "Hol": Holomorph}
+_ACTIONS = {"r^": CyclicPower, "#": Index}
+
+
+def _show(kind: str) -> str:
+    """How a syntax error names a token kind."""
+    return {"INT": "integer", "EOF": "end of input"}.get(kind, f"'{kind}'")
 
 
 @dataclass(frozen=True)
@@ -155,36 +137,27 @@ def _tokenize(text: str) -> list[_Token]:
     i = 0
     end = len(text)
     while i < end:
-        ch = text[i]
-        if ch.isspace():
+        if text[i].isspace():
             i += 1
-            continue
-        keyword = next((k for k in _KEYWORDS if text.startswith(k[0], i)), None)
-        if keyword is not None:
-            tokens.append(_Token(keyword[1], 0, i))
-            i += len(keyword[0])
-            continue
-        if ch in _SINGLE_CHARS:
-            tokens.append(_Token(_SINGLE_CHARS[ch], 0, i))
-            i += 1
-            continue
-        if ch.isdigit():
+        elif text[i].isdecimal():  # the digits int() accepts, Arabic-Indic ones too
             start = i
-            while i < end and text[i].isdigit():
+            while i < end and text[i].isdecimal():
                 i += 1
-            tokens.append(_Token("INT", int(text[start:i]), start))
-            continue
-        raise ExprSyntaxError(i, _ALL_TOKENS, repr(ch))
+            try:
+                value = int(text[start:i])
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ExprSyntaxError(
+                    start, (f"integer of at most {sys.get_int_max_str_digits()} digits",),
+                    f"{i - start} digits") from None
+            tokens.append(_Token("INT", value, start))
+        else:
+            kind = next((k for k in _KINDS if k != "INT" and text.startswith(k, i)), None)
+            if kind is None:
+                raise ExprSyntaxError(i, tuple(map(_show, _KINDS)), repr(text[i]))
+            tokens.append(_Token(kind, 0, i))
+            i += len(kind)
     tokens.append(_Token("EOF", 0, end))
     return tokens
-
-
-def _found_text(token: _Token) -> str:
-    if token.kind == "EOF":
-        return "end of input"
-    if token.kind == "INT":
-        return f"'{token.value}'"
-    return _TOKEN_DISPLAY[token.kind]
 
 
 class _Parser:
@@ -201,51 +174,48 @@ class _Parser:
         self.pos += 1
         return token
 
-    def fail(self, expected: tuple[str, ...]) -> NoReturn:
+    def fail(self, kinds: tuple[str, ...]) -> NoReturn:
         token = self.peek()
-        raise ExprSyntaxError(token.position, expected, _found_text(token))
+        found = f"'{token.value}'" if token.kind == "INT" else _show(token.kind)
+        raise ExprSyntaxError(token.position, tuple(map(_show, kinds)), found)
 
-    def expect(self, kind: str, expected: tuple[str, ...] | None = None) -> _Token:
+    def expect(self, kind: str, kinds: tuple[str, ...] | None = None) -> _Token:
         if self.peek().kind != kind:
-            self.fail(expected or (_TOKEN_DISPLAY[kind],))
+            self.fail(kinds or (kind,))
         return self.advance()
 
     def parse(self) -> GroupExpr:
         node = self.expr()
-        if self.peek().kind != "EOF":
-            self.fail(("'x'", "':'", "end of input"))
+        self.expect("EOF", ("x", ":", "EOF"))
         return node
 
     def expr(self) -> GroupExpr:
         node = self.atom()
-        while self.peek().kind == "X":
+        while self.peek().kind == "x":
             self.advance()
             node = Product(node, self.atom())
         return node
 
     def atom(self) -> GroupExpr:
         node = self.primary()
-        while self.peek().kind == "COLON":
+        while self.peek().kind == ":":
             self.advance()
             right = self.primary()
-            self.expect("LBRACK", ("'['",))
-            action = self.action()
-            self.expect("RBRACK", ("']'",))
-            node = Semidirect(node, right, action)
+            self.expect("[")
+            make = _ACTIONS.get(self.peek().kind)
+            if make is None:
+                self.fail(tuple(_ACTIONS))
+            self.advance()
+            node = Semidirect(node, right, make(self.integer()))
+            self.expect("]")
         return node
 
     def primary(self) -> GroupExpr:
         token = self.peek()
-        if token.kind == "Z":
+        if token.kind in _LEAVES:
             self.advance()
-            return Cyclic(self.positive_int())
-        if token.kind == "D":
-            self.advance()
-            return Dihedral(self.positive_int())
-        if token.kind == "HOL":
-            self.advance()
-            return Holomorph(self.positive_int())
-        if token.kind == "LPAREN":
+            return _LEAVES[token.kind](self.integer(positive=True))
+        if token.kind == "(":
             if self.depth >= MAX_NESTING_DEPTH:
                 raise ExprSyntaxError(
                     token.position,
@@ -255,35 +225,15 @@ class _Parser:
             self.depth += 1
             self.advance()
             node = self.expr()
-            self.expect("RPAREN", ("'x'", "':'", "')'"))
+            self.expect(")", ("x", ":", ")"))
             self.depth -= 1
             return node
-        self.fail(("'Z'", "'D'", "'Hol'", "'('"))
+        self.fail((*_LEAVES, "("))
 
-    def action(self) -> ActionSpec:
-        token = self.peek()
-        if token.kind == "RPOW":
-            self.advance()
-            return CyclicPower(self.any_int())
-        if token.kind == "HASH":
-            self.advance()
-            return Index(self.any_int())
-        self.fail(("'r^'", "'#'"))
-
-    def positive_int(self) -> int:
-        token = self.peek()
-        if token.kind != "INT":
-            self.fail(("integer",))
-        if token.value < 1:
+    def integer(self, positive: bool = False) -> int:
+        token = self.expect("INT")
+        if positive and token.value < 1:
             raise ExprSyntaxError(token.position, ("positive integer",), f"'{token.value}'")
-        self.advance()
-        return token.value
-
-    def any_int(self) -> int:
-        token = self.peek()
-        if token.kind != "INT":
-            self.fail(("integer",))
-        self.advance()
         return token.value
 
 
@@ -294,24 +244,6 @@ def parse_expr(text: str) -> GroupExpr:
     acceptable tokens, on anything outside the grammar.
     """
     return _Parser(text).parse()
-
-
-_GENERATOR_NAMES = ("r", "s", "t", "u", "v", "w")
-
-
-class _NameAllocator:
-    """Hands out generator letters r, s, t, ... to cyclic leaves in turn."""
-
-    def __init__(self):
-        self.count = 0
-
-    def next_name(self) -> str:
-        if self.count < len(_GENERATOR_NAMES):
-            name = _GENERATOR_NAMES[self.count]
-        else:
-            name = f"g{self.count + 1}"
-        self.count += 1
-        return name
 
 
 def _resolve_action(e: Semidirect, k_table: GroupTable, h_table: GroupTable) -> Action:
@@ -340,14 +272,14 @@ def _resolve_action(e: Semidirect, k_table: GroupTable, h_table: GroupTable) -> 
     return choices[spec.j]
 
 
-def _eval(e: GroupExpr, names: _NameAllocator) -> GroupTable:
+def _eval(e: GroupExpr, names: Iterator[str]) -> GroupTable:
     # a left-nested chain of x and : is walked in a loop, so its length costs no stack
     spine: list[Union[Product, Semidirect]] = []
     while isinstance(e, (Product, Semidirect)):
         spine.append(e)
         e = e.left if isinstance(e, Product) else e.k_expr
     if isinstance(e, Cyclic):
-        table = cyclic(e.n, names.next_name())
+        table = cyclic(e.n, next(names))
     elif isinstance(e, Dihedral):
         table = dihedral(e.n)
     elif isinstance(e, Holomorph):
@@ -366,11 +298,12 @@ def _eval(e: GroupExpr, names: _NameAllocator) -> GroupTable:
 def eval_expr(e: GroupExpr) -> GroupTable:
     """Build the multiplication table named by a parsed expression.
 
-    Cyclic leaves receive generator letters r, s, t, ... in parse order.
+    Cyclic leaves receive generator letters in parse order: r through w,
+    then g7, g8 and so on.
     Raises ExprEvalError for impossible actions and SizeCapError when a
     construction would exceed the size cap.
     """
-    return _eval(e, _NameAllocator())
+    return _eval(e, chain("rstuvw", map("g{}".format, count(7))))
 
 
 def parse_and_eval(text: str) -> GroupTable:

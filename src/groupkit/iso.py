@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 from itertools import chain, combinations, product
 from math import gcd, isqrt, lcm, log, prod
 
@@ -16,7 +16,7 @@ from .core import (
     order_spectrum,
 )
 from ._search import search_morphisms
-from .construct import cyclic, dihedral, direct_product, power_action, semidirect
+from .expr import parse_and_eval
 from .numth import factorize, multiplicative_order, totatives
 
 SEMIDIRECT_POOL_LIMIT = 128
@@ -136,17 +136,6 @@ def _basic_pool(order: int):
                     yield CatalogName("semidirect-cyclic", (m, n, i), f"Z{m} : Z{n} [r^{i}]")
 
 
-def _build(name: CatalogName) -> GroupTable:
-    """The table of a name from _basic_pool."""
-    if name.kind == "cyclic":
-        return cyclic(name.params[0])
-    if name.kind == "dihedral":
-        return dihedral(name.params[0])
-    m, n, i = name.params
-    k, h = cyclic(m, "r"), cyclic(n, "s")
-    return semidirect(k, h, power_action(h, k, i))
-
-
 def _spectrum(name: CatalogName) -> dict[int, int]:
     """The order spectrum of a name from _basic_pool, in closed form.
 
@@ -192,8 +181,10 @@ def identify(g: GroupTable) -> CatalogName:
     with one commutativity scan and no search. For the rest, one loop walks
     the candidates in that order. Each multiset of factors is tried once; its
     spectrum is folded from the closed-form spectra of its factors
-    (_spectrum), as o((a, b)) = lcm(o(a), o(b)), and a table is built and
-    searched only when that spectrum is G's. Neither skip changes the answer.
+    (_spectrum), as o((a, b)) = lcm(o(a), o(b)). Only when that spectrum is
+    G's is a table built, by parse_and_eval of the display the candidate
+    would return, and searched; so the name is the text of the group that
+    matched. Neither skip changes the answer.
     """
     n = g.order
     if max(g.orders) == n:
@@ -219,8 +210,8 @@ def identify(g: GroupTable) -> CatalogName:
                 c = lcm(a, b)
                 step[c] = step.get(c, 0) + x * y
             joint = step
-        if joint == spec and are_isomorphic(g, reduce(direct_product, map(_build, names))):
+        display = " x ".join(name.display for name in names)
+        if joint == spec and are_isomorphic(g, parse_and_eval(display)):
             return names[0] if len(names) == 1 else CatalogName(
-                "product-of-named", tuple(d for d, _ in factors),
-                " x ".join(name.display for name in names))
+                "product-of-named", tuple(d for d, _ in factors), display)
     return CatalogName("unidentified", (n,), f"unidentified (order {n})")

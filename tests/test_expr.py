@@ -1,5 +1,7 @@
 """The group-expression language: grammar, errors, evaluation."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,8 @@ class TestParse:
         assert parse_expr("D6") == Dihedral(6)
         assert parse_expr("Hol 8") == Holomorph(8)
         assert parse_expr("Hol8") == Holomorph(8)
+        # decimal digits of any script, as int() reads them: an Arabic-Indic three
+        assert parse_expr("Z\u0663") == Cyclic(3)
 
     def test_product_associates_left(self):
         assert parse_expr("Z2 x Z3 x Z4") == Product(
@@ -80,6 +84,11 @@ class TestSyntaxErrors:
             ("Z8 : Z2 r^3]", 8, "'['"),
             ("Z8 : Z2 []", 9, "'#'"),
             ("Z8 : Z2 [#1", 11, "']'"),
+            # a digit that int() rejects, and more digits than int() reads
+            pytest.param("Z\u00b2", 1, "integer", id="superscript-two"),
+            pytest.param("Z" + "1" * 5000, 1,
+                         f"integer of at most {sys.get_int_max_str_digits()} digits",
+                         id="5000-digits"),
         ],
     )
     def test_position_and_expected_set(self, text, position, expected_member):
@@ -87,6 +96,20 @@ class TestSyntaxErrors:
             parse_expr(text)
         assert exc.value.position == position
         assert expected_member in exc.value.expected
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("Z2 &", "at offset 3: expected 'Z' or 'D' or 'Hol' or 'r^' or integer or 'x' "
+                     "or ':' or '[' or ']' or '(' or ')' or '#', found '&'"),
+            ("Z2 Z3", "at offset 3: expected 'x' or ':' or end of input, found 'Z'"),
+            ("Z8 : Z2 []", "at offset 9: expected 'r^' or '#', found ']'"),
+        ],
+    )
+    def test_exact_messages(self, text, message):
+        with pytest.raises(ExprSyntaxError) as exc:
+            parse_expr(text)
+        assert str(exc.value) == message
 
     def test_message_mentions_offset_and_expectation(self):
         with pytest.raises(ExprSyntaxError) as exc:
@@ -233,7 +256,7 @@ class TestParserProperties:
         assert parse_expr(_render(e)) == e
 
     @settings(max_examples=400)
-    @given(st.text(alphabet="ZDHolrx:[]()#^ 0123456789q&", max_size=24))
+    @given(st.text(alphabet="ZDHolrx:[]()#^ 0123456789q&\u00b2\u0663", max_size=24))
     def test_fuzz_never_crashes(self, text):
         try:
             parse_expr(text)

@@ -104,7 +104,7 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     index_of = {key: i for i, key in enumerate(keys)}
     mul = [tuple(index_of[tuple(ia[y] for y in key)] for key in keys)
            for ia in (a.image for a in autos)]
-    table = make_table(mul, _aut_names(g, autos), identity=index_of[tuple(gens)])
+    table = make_table(mul, _aut_names(g, autos))
     return AutGroup(g, tuple(autos), table)
 
 

@@ -104,7 +104,7 @@ def cyclic(n: int, gen: str = "r", size_cap: int = DEFAULT_SIZE_CAP) -> GroupTab
     cells = tuple(range(n)) * 2
     mul = tuple(cells[a:a + n] for a in range(n))
     names = ["e", gen][:n] + [f"{gen}^{i}" for i in range(2, n)]
-    return make_table(mul, names, identity=0)
+    return make_table(mul, names)
 
 
 def _pair_names(k: GroupTable, h: GroupTable) -> tuple[str, ...]:
@@ -140,8 +140,7 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
     for row in k.mul:
         k_row = tuple(chain.from_iterable(map(segments.__getitem__, row)))
         mul.extend(read(k_row) for read in h_reads)
-    return make_table(mul if order > 1 else [(0,)], _pair_names(k, h),
-                      identity=k.identity * no_h + h.identity)
+    return make_table(mul if order > 1 else [(0,)], _pair_names(k, h))
 
 
 def direct_product(k: GroupTable, h: GroupTable,

@@ -131,15 +131,16 @@ class Morphism:
         """True when the image array respects products.
 
         Both tables must be groups (verify_group_axioms checks that for
-        tables from make_table); see respects_products.
+        tables from make_table), and the image must be a map: one entry per
+        source element, each in 0..|target|-1. See respects_products.
         """
         return respects_products(self.source, self.target, self.image)
 
     def is_bijective(self) -> bool:
-        return (
-            self.source.order == self.target.order
-            and len(set(self.image)) == self.source.order
-        )
+        """True when image has |source| = |target| distinct entries, all in range."""
+        n, seen = self.source.order, set(self.image)
+        return (self.target.order == n == len(self.image) == len(seen)
+                and min(seen) >= 0 and max(seen) < n)
 
     def is_isomorphism(self) -> bool:
         return self.is_bijective() and self.is_homomorphism()
@@ -226,26 +227,23 @@ class AxiomVerdict:
 TableCandidate = Union[GroupTable, Sequence[Sequence[int]]]
 
 
-def _identity_and_inverses(mul: Sequence[Sequence[int]], identity: int | None,
+def _identity_and_inverses(mul: Sequence[Sequence[int]], claimed: int | None = None,
                            claimed_inv: Sequence[int] | None = None):
     """(identity, inv) of a square array of tuple rows, or the AxiomVerdict that fails.
 
-    A given identity is checked in O(n), else the lowest two-sided one is
-    found; each inverse is the claimed one, checked, else the lowest found.
+    The identity is found by trying each row in turn. A table has at most
+    one, as e = e*e' = e' for two of them, so a claimed identity holds only
+    when it equals the one found. Each inverse is the claimed one, checked,
+    else the lowest found.
     """
     n = len(mul)
+    identity = next((e for e in range(n)
+                     if all(mul[e][x] == x and mul[x][e] == x for x in range(n))), None)
     if identity is None:
-        identity = next((e for e in range(n)
-                         if all(mul[e][x] == x and mul[x][e] == x for x in range(n))), None)
-        if identity is None:
-            return AxiomVerdict(False, "identity", None, "no two-sided identity exists")
-    elif not 0 <= identity < n:
-        return AxiomVerdict(False, "identity", (identity,), "identity index out of range")
-    else:
-        for x in range(n):
-            if mul[identity][x] != x or mul[x][identity] != x:
-                return AxiomVerdict(False, "identity", (identity, x),
-                                    f"mul[{identity}][{x}] or mul[{x}][{identity}] != {x}")
+        return AxiomVerdict(False, "identity", None, "no two-sided identity exists")
+    if claimed is not None and claimed != identity:
+        return AxiomVerdict(False, "identity", (claimed,),
+                            f"claimed identity {claimed!r} is not {identity}, the identity")
     inv = []
     for x, row in enumerate(mul):
         if claimed_inv is not None:
@@ -269,8 +267,9 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
     """Check closure, identity, inverses and associativity on a raw table.
 
     Accepts a GroupTable (its claimed identity/inv are verified) or a bare
-    mul array. Returns the first violated axiom with a concrete witness;
-    malformed dimensions are reported distinctly from axiom failures.
+    mul array with an optional claimed identity. Returns the first violated
+    axiom with a concrete witness; malformed dimensions are reported
+    distinctly from axiom failures.
 
     Associativity is Light's test, O(d*n^2): (a*b)*c = a*(b*c) for all a, c
     and each b kept by a walk over the elements: b is kept when it is not yet
@@ -323,13 +322,12 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
     return AxiomVerdict(True)
 
 
-def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None,
-               identity: int | None = None) -> GroupTable:
+def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> GroupTable:
     """Build a GroupTable from a mul array, deriving identity and inverses.
 
     Checks that every entry lies in 0..n-1 and that names, when given, has n
-    entries, checks the given identity or finds one, and finds each two-sided
-    inverse; verify_group_axioms is the full check.
+    entries, and finds the two-sided identity and each two-sided inverse;
+    verify_group_axioms is the full check.
     """
     n = len(mul)
     rows = tuple(tuple(r) for r in mul)
@@ -337,7 +335,7 @@ def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None,
         raise ValueError("mul array is not square")
     if not set(range(n)).issuperset(chain.from_iterable(rows)):
         raise ValueError(f"mul array has an entry outside 0..{n - 1}")
-    found = _identity_and_inverses(rows, identity)
+    found = _identity_and_inverses(rows)
     if isinstance(found, AxiomVerdict):
         raise ValueError(found.detail)
     identity, inv = found
@@ -413,30 +411,26 @@ def _coset_closure(mul, subgroup: Collection[int], gens: Sequence[int], y: int) 
     return members
 
 
-def grow_closure(mul, closed: Sequence[int], x: int, steps: list[Step] | None = None,
-                 size: int | None = None) -> list[int]:
-    """The closure of a product-closed set plus one element, in BFS order.
+def grow_closure(mul, closed: Sequence[int], x: int, steps: list[Step], size: int) -> list[int]:
+    """The closure of a product-closed set plus one element outside it, in BFS order.
 
     `closed` lists a set closed under products; the result lists it
     unchanged, then x and every new product in the order it is found: for
-    each new a in turn and each b listed so far, a*b then b*a. When steps is
-    given, each new element p = u*v is recorded as (p, u, v).
+    each new a in turn and each b listed so far, a*b then b*a. Each new
+    element p = u*v is recorded in steps as (p, u, v).
 
-    A full walk costs O(m^2) products for a closure of m elements. Given
-    size = m, the walk stops once it has listed m elements, which changes
-    neither the list nor the steps: a step is recorded only when an element
-    is listed, and a complete closure has none left to list.
+    A full walk costs O(m^2) products for a closure of m elements. The walk
+    stops once it has listed size = m elements, which changes neither the
+    list nor the steps: a step is recorded only when an element is listed,
+    and a complete closure has none left to list.
     """
     members = set(closed)
     grown = list(closed)
-    if x in members:
-        return grown
 
     def add(p: int, u: int, v: int) -> bool:
         members.add(p)
         grown.append(p)
-        if steps is not None:
-            steps.append((p, u, v))
+        steps.append((p, u, v))
         return len(grown) == size
 
     members.add(x)
@@ -496,7 +490,7 @@ def subgroup_table(g: GroupTable, members: Iterable[int]) -> tuple[GroupTable, t
     back = {x: i for i, x in enumerate(embed)}
     mul = tuple(tuple(back[g.mul[a][b]] for b in embed) for a in embed)
     names = tuple(g.elem_names[x] for x in embed)
-    return make_table(mul, names, identity=0), tuple(embed)
+    return make_table(mul, names), tuple(embed)
 
 
 def kernel(m: Morphism) -> SubgroupRef:

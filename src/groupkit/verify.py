@@ -76,14 +76,15 @@ class _Recorder:
         self.reports: list[VerifyReport] = []
         self._t0 = time.perf_counter()
 
-    def start(self):
-        self._t0 = time.perf_counter()
-
     def add(self, claim: str, expected, actual):
         ms = (time.perf_counter() - self._t0) * 1000.0
         status = "pass" if str(expected) == str(actual) else "fail"
         self.reports.append(VerifyReport(claim, status, str(expected), str(actual), ms))
-        self.start()
+        self._t0 = time.perf_counter()
+
+    def holds(self, claim: str, statement: str, ok: bool, otherwise: str):
+        """Record statement as expected, and as actual when ok, else otherwise."""
+        self.add(claim, statement, statement if ok else otherwise)
 
 
 def _table1_formula(n: int) -> int:
@@ -133,16 +134,14 @@ def check_aut_zn_mod4_structure(max_n: int) -> list[VerifyReport]:
         a = aut_group(_zn_x_z2(n)).table
         w_target = direct_product(aut_group(cyclic(n)).table, cyclic(2, "s"))
         witness = _index2_split_subgroup(a, w_target)
-        rec.add(f"thm4.1.n={n}", "split over Aut(Zn) x Z2 found",
-                "split over Aut(Zn) x Z2 found" if witness else "no splitting subgroup")
-    named = {2: dihedral(3), 4: dihedral(4), 6: dihedral(6),
-             8: direct_product(cyclic(2), dihedral(4))}
-    labels = {2: "D3", 4: "D4", 6: "D6", 8: "Z2 x D4"}
-    for n, target in named.items():
+        rec.holds(f"thm4.1.n={n}", "split over Aut(Zn) x Z2 found", witness is not None,
+                  "no splitting subgroup")
+    named = ((2, "D3", dihedral(3)), (4, "D4", dihedral(4)), (6, "D6", dihedral(6)),
+             (8, "Z2 x D4", direct_product(cyclic(2), dihedral(4))))
+    for n, label, target in named:
         a = aut_group(_zn_x_z2(n)).table
-        ok = are_isomorphic(a, target) is not None
-        rec.add(f"sec4.1.n={n}", f"Aut(Z{n} x Z2) ~ {labels[n]}",
-                f"Aut(Z{n} x Z2) ~ {labels[n]}" if ok else "not isomorphic")
+        rec.holds(f"sec4.1.n={n}", f"Aut(Z{n} x Z2) ~ {label}",
+                  are_isomorphic(a, target) is not None, "not isomorphic")
     return rec.reports
 
 
@@ -177,43 +176,36 @@ def check_dihedral_aut(max_n: int) -> list[VerifyReport]:
     for n in range(3, max_n + 1):
         d = dihedral(n)
         a = aut_group(d).table
-        hol = holomorph(n)
-        ok = a.order == n * euler_phi(n) and are_isomorphic(a, hol) is not None
-        rec.add(f"thm7.2.n={n}", f"|Aut| = {n * euler_phi(n)}, isomorphic to holomorph",
-                f"|Aut| = {a.order}, isomorphic to holomorph" if ok
-                else f"|Aut| = {a.order}, holomorph match: {are_isomorphic(a, hol) is not None}")
+        hol_match = are_isomorphic(a, holomorph(n)) is not None
+        rec.holds(f"thm7.2.n={n}", f"|Aut| = {n * euler_phi(n)}, isomorphic to holomorph",
+                  a.order == n * euler_phi(n) and hol_match,
+                  f"|Aut| = {a.order}, holomorph match: {hol_match}")
         self_iso = are_isomorphic(d, a) is not None
         rec.add(f"cor7.3.n={n}", euler_phi(n) == 2, self_iso)
     return rec.reports
 
 
-def _z8_builds():
-    z8, z2 = cyclic(8), cyclic(2, "s")
-    return [semidirect(z8, z2, power_action(z2, z8, i)) for i in (1, 3, 5, 7)]
-
-
 def check_z8_case_study() -> list[VerifyReport]:
     """The four Z_8 x| Z_2 groups: distinctness, relations, Aut structure."""
     rec = _Recorder()
-    rho, sigma, tau, upsilon = _z8_builds()
-    labels = ["rho", "sigma", "tau", "upsilon"]
-    groups = [rho, sigma, tau, upsilon]
+    z8, z2 = cyclic(8), cyclic(2, "s")
+    groups = [semidirect(z8, z2, power_action(z2, z8, i)) for i in (1, 3, 5, 7)]
+    rho, sigma, tau, upsilon = groups
 
     distinct = all(are_isomorphic(groups[i], groups[j]) is None
                    for i in range(4) for j in range(i + 1, 4))
-    rec.add("sec8.pairwise-noniso", "4 pairwise non-isomorphic groups",
-            "4 pairwise non-isomorphic groups" if distinct else "collision found")
+    rec.holds("sec8.pairwise-noniso", "4 pairwise non-isomorphic groups", distinct,
+              "collision found")
 
     # generator indices in the pair encoding: s = (0,1) -> 1, r = (1,0) -> 2
-    rec.add("remark8.1.rho", "table identical to Z8 x Z2",
-            "table identical to Z8 x Z2"
-            if rho == direct_product(cyclic(8), cyclic(2, "s")) else "tables differ")
-    rec.add("remark8.1.sigma", "s*r = r^3*s", "s*r = r^3*s"
-            if sigma.mul[1][2] == 3 * 2 + 1 else f"s*r = index {sigma.mul[1][2]}")
-    rec.add("remark8.1.tau", "s*r = r^5*s", "s*r = r^5*s"
-            if tau.mul[1][2] == 5 * 2 + 1 else f"s*r = index {tau.mul[1][2]}")
-    rec.add("remark8.1.upsilon", "isomorphic to D8", "isomorphic to D8"
-            if are_isomorphic(upsilon, dihedral(8)) is not None else "not isomorphic to D8")
+    rec.holds("remark8.1.rho", "table identical to Z8 x Z2",
+              rho == direct_product(z8, z2), "tables differ")
+    rec.holds("remark8.1.sigma", "s*r = r^3*s", sigma.mul[1][2] == 3 * 2 + 1,
+              f"s*r = index {sigma.mul[1][2]}")
+    rec.holds("remark8.1.tau", "s*r = r^5*s", tau.mul[1][2] == 5 * 2 + 1,
+              f"s*r = index {tau.mul[1][2]}")
+    rec.holds("remark8.1.upsilon", "isomorphic to D8",
+              are_isomorphic(upsilon, dihedral(8)) is not None, "not isomorphic to D8")
 
     auts = [automorphisms(g) for g in groups]
     rec.add("sec8.2.aut-orders", [16, 16, 16, 32], [len(a) for a in auts])
@@ -223,31 +215,26 @@ def check_z8_case_study() -> list[VerifyReport]:
         return {(a.image[2], a.image[1]) for a in autos}
 
     rho_form = {(2 * i + j, 8 * k + 1) for i in (1, 3, 5, 7) for j in (0, 1) for k in (0, 1)}
-    rec.add("sec8.2.forms.rho", "all 16 of form [r^i s^j, r^4k s]",
-            "all 16 of form [r^i s^j, r^4k s]" if gen_images(auts[0]) == rho_form
-            else "form mismatch")
+    rec.holds("sec8.2.forms.rho", "all 16 of form [r^i s^j, r^4k s]",
+              gen_images(auts[0]) == rho_form, "form mismatch")
     sigma_form = {(2 * i, 2 * k + 1) for i in (1, 3, 5, 7) for k in (0, 2, 4, 6)}
-    rec.add("sec8.2.forms.sigma", "all 16 of form [r^i, r^even s]",
-            "all 16 of form [r^i, r^even s]" if gen_images(auts[1]) == sigma_form
-            else "form mismatch")
+    rec.holds("sec8.2.forms.sigma", "all 16 of form [r^i, r^even s]",
+              gen_images(auts[1]) == sigma_form, "form mismatch")
     rec.add("sec8.2.forms.tau", 16, len(auts[2]))
     upsilon_form = {(2 * i, 2 * k + 1) for i in (1, 3, 5, 7) for k in range(8)}
-    rec.add("sec8.2.forms.upsilon", "all 32 of form [r^i, r^k s]",
-            "all 32 of form [r^i, r^k s]" if gen_images(auts[3]) == upsilon_form
-            else "form mismatch")
+    rec.holds("sec8.2.forms.upsilon", "all 32 of form [r^i, r^k s]",
+              gen_images(auts[3]) == upsilon_form, "form mismatch")
 
     z2d4 = direct_product(cyclic(2), dihedral(4))
-    for label, autos, g, thm in (("rho", auts[0], rho, "thm8.2"),
-                                 ("sigma", auts[1], sigma, "thm8.3"),
-                                 ("tau", auts[2], tau, "thm8.4")):
+    for label, g, thm in (("rho", rho, "thm8.2"), ("sigma", sigma, "thm8.3"),
+                          ("tau", tau, "thm8.4")):
         at = aut_group(g).table
         ok = are_isomorphic(at, z2d4) is not None and identify(at).display == "Z2 x D4"
-        rec.add(f"{thm}.{label}", "Aut ~ Z2 x D4", "Aut ~ Z2 x D4" if ok else "mismatch")
+        rec.holds(f"{thm}.{label}", "Aut ~ Z2 x D4", ok, "mismatch")
 
-    aut_d8 = aut_group(upsilon).table
-    witness = _index2_split_subgroup(aut_d8, z2d4)
-    rec.add("thm8.5", "Aut(D8) splits over index-2 copy of Z2 x D4",
-            "Aut(D8) splits over index-2 copy of Z2 x D4" if witness else "no split found")
+    witness = _index2_split_subgroup(aut_group(upsilon).table, z2d4)
+    rec.holds("thm8.5", "Aut(D8) splits over index-2 copy of Z2 x D4", witness is not None,
+              "no split found")
     return rec.reports
 
 
@@ -258,13 +245,12 @@ def check_action_equivalence(max_m: int, max_n: int) -> list[VerifyReport]:
         k = cyclic(m)
         for n in range(1, max_n + 1):
             h = cyclic(n, "s")
-            ok, detail = True, "all classes uniform"
+            ok = True
             for cls in action_classes(h, k):
                 builds = [semidirect(k, h, a) for a in cls]
-                for other in builds[1:]:
-                    if are_isomorphic(builds[0], other) is None:
-                        ok, detail = False, "class with non-isomorphic members"
-            rec.add(f"thm6.6.m={m}.n={n}", "all classes uniform", detail)
+                ok &= all(are_isomorphic(builds[0], other) is not None for other in builds[1:])
+            rec.holds(f"thm6.6.m={m}.n={n}", "all classes uniform", ok,
+                      "class with non-isomorphic members")
     return rec.reports
 
 
@@ -302,24 +288,22 @@ def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
             psi = [mm.image for mm in a.maps]
             lambda_ok &= all(lambda_lift(delta, g)[1] for delta in aut_h
                              if all(psi[delta.image[x]] == psi[x] for x in range(n)))
-        rec.add(f"thm6.4.m={m}.n={n}", f"Z{m}-copy characteristic in all {len(acts)} products",
-                f"Z{m}-copy characteristic in all {len(acts)} products" if char_ok
-                else "not characteristic somewhere")
+        rec.holds(f"thm6.4.m={m}.n={n}", f"Z{m}-copy characteristic in all {len(acts)} products",
+                  char_ok, "not characteristic somewhere")
         got = len(automorphisms(direct_product(k, h)))
         rec.add(f"prop5.3.m={m}.n={n}", euler_phi(m) * euler_phi(n), got)
-        rec.add(f"thm6.2.m={m}.n={n}", "central image lifts all omega",
-                "central image lifts all omega" if zeta_ok else "zeta verdict false")
-        rec.add(f"thm6.3.m={m}.n={n}", "psi-fixing delta always lifts",
-                "psi-fixing delta always lifts" if lambda_ok else "lambda verdict false")
+        rec.holds(f"thm6.2.m={m}.n={n}", "central image lifts all omega", zeta_ok,
+                  "zeta verdict false")
+        rec.holds(f"thm6.3.m={m}.n={n}", "psi-fixing delta always lifts", lambda_ok,
+                  "lambda verdict false")
 
     # general (non-cyclic) coprime factors: characteristic K-copy and
     # |Aut(K x H)| = |Aut K| * |Aut H|
     for kn, k, hn, h in (("D3", dihedral(3), "Z5", cyclic(5, "t")),
                          ("D4", dihedral(4), "Z3", cyclic(3, "t"))):
         g = direct_product(k, h)
-        char_ok = is_characteristic(g, kh_copies(k.order, h.order, g)[0])
-        rec.add(f"thm6.5.{kn}x{hn}", f"{kn}-copy characteristic",
-                f"{kn}-copy characteristic" if char_ok else "not characteristic")
+        rec.holds(f"thm6.5.{kn}x{hn}", f"{kn}-copy characteristic",
+                  is_characteristic(g, kh_copies(k.order, h.order, g)[0]), "not characteristic")
         expected = len(automorphisms(k)) * len(automorphisms(h))
         rec.add(f"prop5.4.{kn}x{hn}", expected, len(automorphisms(g)))
 
@@ -340,12 +324,10 @@ def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
         product_count = len(automorphisms(g))
         factor_count = len(automorphisms(k)) * len(automorphisms(h))
         both_char = is_characteristic(g, kc) and is_characteristic(g, hc)
-        agree = (product_count == factor_count) == both_char
-        rec.add(f"cor5.2.{kn}x{hn}",
-                "order factorization iff both copies characteristic",
-                "order factorization iff both copies characteristic" if agree
-                else f"|Aut(KxH)|={product_count}, |AutK||AutH|={factor_count}, "
-                     f"both characteristic={both_char}")
+        rec.holds(f"cor5.2.{kn}x{hn}", "order factorization iff both copies characteristic",
+                  (product_count == factor_count) == both_char,
+                  f"|Aut(KxH)|={product_count}, |AutK||AutH|={factor_count}, "
+                  f"both characteristic={both_char}")
     return rec.reports
 
 
@@ -355,9 +337,8 @@ def _negative_control_reports() -> list[VerifyReport]:
     broken = [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
     broken[1][1] = 1  # corrupt one cell of the Z4 table
     verdict = verify_group_axioms(broken)
-    rec.add("negative-control.corrupt-table", "table passes group axioms",
-            "table passes group axioms" if verdict.ok
-            else f"axiom {verdict.axiom} violated at witness {verdict.witness}")
+    rec.holds("negative-control.corrupt-table", "table passes group axioms", verdict.ok,
+              f"axiom {verdict.axiom} violated at witness {verdict.witness}")
     wrong = euler_phi(6) + 1  # deliberately wrong expected count
     got = len(automorphisms(cyclic(6)))
     rec.add("negative-control.wrong-formula", wrong, got)
@@ -392,10 +373,6 @@ def run_all(max_n: int | None = None,
     reports += check_characteristic_theorems(bound(60))
     if negative_control:
         reports += _negative_control_reports()
-    summary = RunSummary(elapsed_ms=(time.perf_counter() - t0) * 1000.0)
-    for r in reports:
-        if r.status == "pass":
-            summary.passed += 1
-        else:
-            summary.failed += 1
-    return reports, summary
+    elapsed_ms = (time.perf_counter() - t0) * 1000.0
+    passed = sum(r.status == "pass" for r in reports)
+    return reports, RunSummary(passed, len(reports) - passed, elapsed_ms)

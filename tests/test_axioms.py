@@ -220,6 +220,21 @@ class TestEntryCheck:
         assert verify_group_axioms(z3).ok
 
 
+class TestClaimedIdentity:
+    def test_wrong_identity_field_reports_identity(self):
+        g = GroupTable(2, ((0, 1), (1, 0)), 1, (0, 1), ("a", "b"))
+        verdict = verify_group_axioms(g)
+        assert (verdict.axiom, verdict.witness) == ("identity", (1,))
+
+    @pytest.mark.parametrize("claimed", [1, 2, -1])
+    def test_wrong_identity_argument_reports_identity(self, claimed):
+        verdict = verify_group_axioms([[0, 1], [1, 0]], identity=claimed)
+        assert (verdict.axiom, verdict.witness) == ("identity", (claimed,))
+
+    def test_right_identity_argument_passes(self):
+        assert verify_group_axioms([[1, 0], [0, 1]], identity=1).ok
+
+
 class TestInverseLength:
     def test_short_inv_reports_dimensions(self):
         g = GroupTable(2, ((0, 1), (1, 0)), 0, (0,), ("a", "b"))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import groupkit.core
 from groupkit.aut import aut_group, automorphisms
 from groupkit.construct import (
+    Action,
     cyclic,
     dihedral,
     direct_product,
@@ -112,13 +113,15 @@ class TestMakeTable:
         with pytest.raises(ValueError):
             make_table([[1, 0], [0, 0]])
 
-    def test_checks_a_given_identity(self):
-        # index 1 is no identity of the order-2 table whose identity is 0
-        with pytest.raises(ValueError):
-            make_table(Z2_MUL, identity=1)
-        with pytest.raises(ValueError):
-            make_table(Z2_MUL, identity=2)
-        assert make_table([[1, 0], [0, 1]], identity=1).inv == (0, 1)
+    def test_finds_an_identity_away_from_index_0(self):
+        g = make_table([[1, 0], [0, 1]])
+        assert g.identity == 1
+        assert g.inv == (0, 1)
+
+    def test_rejects_left_identities_that_are_not_two_sided(self):
+        # both rows are left identities (0*x = 1*x = x), but x*0 = x*1 = x fails
+        with pytest.raises(ValueError, match="identity"):
+            make_table([[0, 1], [0, 1]])
 
     def test_rejects_element_without_inverse(self):
         with pytest.raises(ValueError, match="inverse"):
@@ -297,6 +300,14 @@ class TestMorphisms:
         assert not m.is_bijective()
         assert kernel(m).members == (0, 2)
 
+    def test_malformed_images_are_not_bijections(self):
+        z2, z3 = cyclic(2), cyclic(3)
+        for image in ((0, 1, 0), (0,), (0, -1), (0, 5)):
+            assert not Morphism(z2, z2, image).is_bijective()
+        assert not Morphism(z2, z2, (0, 5)).is_isomorphism()
+        with pytest.raises(ValueError, match=r"maps\[1\] is not an automorphism of K"):
+            Action(z2, z3, (identity_morphism(z3), Morphism(z3, z3, (0, 2, 7))))
+
     def test_non_homomorphism_detected(self):
         m = Morphism(cyclic(3), cyclic(3), (0, 0, 1))
         assert not m.is_homomorphism()
@@ -418,12 +429,12 @@ def _greedy_by_full_closures(g: GroupTable):
             size = 0
             for y in range(n):
                 if y not in inside:
-                    grown = len(grow_closure(mul, have, y))
+                    grown = len(grow_closure(mul, have, y, [], n))
                     if grown > size:
                         x, size = y, grown
                     inside.update(mul[h][y] for h in have)
         steps = []
-        have = grow_closure(mul, have, x, steps)
+        have = grow_closure(mul, have, x, steps, n)
         gens.append(x)
         plans.append(tuple(steps))
     return tuple(gens), tuple(plans)

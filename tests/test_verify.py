@@ -1,5 +1,8 @@
 """The claim-by-claim verification suite and its reporting format."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 import groupkit.verify
@@ -161,3 +164,16 @@ class TestFullRun:
         assert "thm7.2.n=12" in ids
         assert "thm6.6.m=12.n=6" in ids
         assert "thm8.5" in ids
+
+    def test_default_run_matches_pinned_claims(self):
+        # every (claim, status, expected, actual) of the default run, texts included
+        pinned = json.loads((Path(__file__).parent / "verify_paper_claims.json").read_text())
+        reports, _ = run_all()
+        assert [[r.claim_id, r.status, r.expected, r.actual] for r in reports] == pinned
+
+    def test_negative_control_texts(self):
+        reports, _ = run_all(max_n=1, negative_control=True)
+        assert [(r.claim_id, r.status, r.expected, r.actual) for r in reports[-2:]] == [
+            ("negative-control.corrupt-table", "fail", "table passes group axioms",
+             "axiom associativity violated at witness (1, 1, 2)"),
+            ("negative-control.wrong-formula", "fail", "3", "2")]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 
 from .core import GroupTable, Morphism, SizeCapError, SubgroupRef, make_table
 from ._search import generating_sequence, search_morphisms
@@ -55,8 +56,8 @@ def _aut_chain(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[dic
     return strong, vectors
 
 
-def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[Morphism]:
-    """All automorphisms of G, sorted lexicographically by image array.
+def _chain_images(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The strong generators of _aut_chain and every automorphism's image array, sorted.
 
     Refuses past the cap (_aut_chain). Vector t gives the transversal of
     A_{t+1} in A_t, u_q = S[i] after u_p for q -> (i, p), and each automorphism
@@ -73,7 +74,12 @@ def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[Morphism]:
         autos += [tuple(map(u.__getitem__, e))
                   for u in list(transversal.values())[1:] for e in autos]
     autos.sort()
-    return [Morphism(g, g, img) for img in autos]
+    return strong, autos
+
+
+def automorphisms(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> list[Morphism]:
+    """All automorphisms of G, sorted lexicographically by image array (_chain_images)."""
+    return [Morphism(g, g, img) for img in _chain_images(g, cap)[1]]
 
 
 @dataclass(frozen=True)
@@ -82,6 +88,7 @@ class AutGroup:
 
     elements[i] is the automorphism at table index i; multiplication is
     composition, table[i][j] = index of elements[i] after elements[j].
+    aut_group composes the rows from the strong generators of Aut(base).
     """
 
     base: GroupTable
@@ -96,16 +103,32 @@ def _aut_names(g: GroupTable, autos: list[Morphism]) -> list[str]:
 
 
 def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
-    """Aut(G) as a group table; identity map lands at index 0."""
-    autos = automorphisms(g, cap=cap)
-    # an automorphism is fixed by its images of the generators
+    """Aut(G) as a group table, its rows composed from the strong generators.
+
+    a_i is the automorphism with the i-th smallest image array, so a_0 is the
+    identity map and row 0 is 0, 1, ..., N-1. For each strong generator s,
+    lift[j] is the index of s after a_j, found by its images of the
+    generators of G, which fix an automorphism. If a_q = s a_p then
+    a_q a_j = s (a_p a_j), so row q is row p read through lift: one C-level
+    itemgetter call per row. The walk from index 0 along S reaches every row:
+    <S> is Aut G (_aut_chain), and in a finite group each inverse is a
+    positive power, so products of members of S already give all of <S>.
+    """
+    strong, images = _chain_images(g, cap)
     gens = generating_sequence(g)
-    keys = [tuple(a.image[x] for x in gens) for a in autos]
-    index_of = {key: i for i, key in enumerate(keys)}
-    mul = [tuple(index_of[tuple(ia[y] for y in key)] for key in keys)
-           for ia in (a.image for a in autos)]
-    table = make_table(mul, _aut_names(g, autos))
-    return AutGroup(g, tuple(autos), table)
+    index_of = {tuple(map(img.__getitem__, gens)): i for i, img in enumerate(images)}
+    lifts = [[index_of[tuple(map(s.__getitem__, key))] for key in index_of] for s in strong]
+    rows: list[tuple[int, ...] | None] = [None] * len(images)
+    rows[0], walk = tuple(range(len(images))), [0]
+    for p in walk:
+        for lift in lifts:
+            if rows[q := lift[p]] is None:
+                rows[q] = itemgetter(*rows[p])(lift)  # a tuple: S is not empty, so N > 1
+                walk.append(q)
+    if None in rows:
+        raise RuntimeError("internal error: the strong generators miss an automorphism")
+    autos = [Morphism(g, g, img) for img in images]
+    return AutGroup(g, tuple(autos), make_table(rows, _aut_names(g, autos)))
 
 
 def is_characteristic(g: GroupTable, c: SubgroupRef, cap: int = DEFAULT_AUT_CAP) -> bool:

@@ -137,10 +137,10 @@ class Morphism:
         return respects_products(self.source, self.target, self.image)
 
     def is_bijective(self) -> bool:
-        """True when image has |source| = |target| distinct entries, all in range."""
+        """True when image has |source| = |target| distinct int entries, all in range."""
         n, seen = self.source.order, set(self.image)
         return (self.target.order == n == len(self.image) == len(seen)
-                and min(seen) >= 0 and max(seen) < n)
+                and set(map(type, seen)) <= {int} and min(seen) >= 0 and max(seen) < n)
 
     def is_isomorphism(self) -> bool:
         return self.is_bijective() and self.is_homomorphism()

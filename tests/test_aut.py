@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupkit._search
+import groupkit.aut
 from groupkit.aut import (
     DEFAULT_AUT_CAP,
     aut_group,
@@ -115,7 +116,10 @@ class TestAutGroup:
                 composed = tuple(a.image[b.image[x]] for x in range(6))
                 assert ag.elements[ag.table.mul[i][j]].image == composed
 
-    @pytest.mark.parametrize("expr", ["Z1", "Z2", "Z256", "D16", "Z8 x Z2 x Z2"])
+    @pytest.mark.parametrize("expr", [
+        "Z1", "Z2", "Z256", "D16", "Z8 x Z2 x Z2", "Hol 7", "Hol 16", "D12", "Z2 x Z2 x Z2",
+        "Z2 x D4", "Z8 : Z2 [r^5]",
+    ])
     def test_table_equals_full_image_composition(self, expr):
         ag = aut_group(parse_and_eval(expr))
         index_of = {a.image: i for i, a in enumerate(ag.elements)}
@@ -123,6 +127,12 @@ class TestAutGroup:
                     for a in ag.elements)
         assert ag.table.mul == mul
         assert ag.table.identity == index_of[tuple(range(ag.base.order))]
+
+    def test_runs_the_chain_once(self, monkeypatch):
+        g, calls, chain = parse_and_eval("Hol 16"), [], groupkit.aut._aut_chain
+        monkeypatch.setattr(groupkit.aut, "_aut_chain", lambda *a: calls.append(a) or chain(*a))
+        aut_group(g)
+        assert len(calls) == 1
 
     def test_aut_of_klein_four_is_d3(self):
         ag = aut_group(direct_product(cyclic(2), cyclic(2)))

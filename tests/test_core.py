@@ -308,6 +308,14 @@ class TestMorphisms:
         with pytest.raises(ValueError, match=r"maps\[1\] is not an automorphism of K"):
             Action(z2, z3, (identity_morphism(z3), Morphism(z3, z3, (0, 2, 7))))
 
+    @pytest.mark.parametrize("image", [(0, 0.5), (0, 1.0)])
+    def test_non_integer_images_are_not_bijections(self, image):
+        z2 = cyclic(2)
+        assert not Morphism(z2, z2, image).is_bijective()
+        assert not Morphism(z2, z2, image).is_isomorphism()
+        with pytest.raises(ValueError, match=r"maps\[1\] is not an automorphism of K"):
+            Action(z2, z2, (identity_morphism(z2), Morphism(z2, z2, image)))
+
     def test_non_homomorphism_detected(self):
         m = Morphism(cyclic(3), cyclic(3), (0, 0, 1))
         assert not m.is_homomorphism()

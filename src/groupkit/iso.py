@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import chain, product
 from math import gcd, isqrt, lcm, log, prod
 
-from .core import (
-    GroupTable,
-    Morphism,
-    _coset_closure,
-    is_abelian,
-    center,
-    order_spectrum,
-)
+from .core import GroupTable, Morphism, center, is_abelian, order_spectrum
 from ._search import search_morphisms
 from .expr import parse_and_eval
 from .numth import factorize, multiplicative_order, totatives
@@ -22,44 +16,31 @@ from .numth import factorize, multiplicative_order, totatives
 SEMIDIRECT_POOL_LIMIT = 128
 
 
-def _derived_size(g: GroupTable) -> int:
-    """|G'|, grown as the normal closure N of the commutators a^-1*b^-1*a*b of
-    pairs of generators, in about |G'| * log|G'| + d^2 products.
+def _root_counts(g: GroupTable) -> Counter:
+    """The multiset of (o(x), |{z : z*z = x}|) over the elements x, in O(n).
 
-    Each generator t that _coset_closure adds to N queues its conjugates
-    x^-1*t*x by the generators x of G, so at the end x^-1*N*x lies in N for
-    each x, and N is normal (see is_normal). N lies in G', a normal subgroup
-    holding every commutator. G/N is generated by the images of G's
-    generators, which commute, so it is abelian and G' lies in N.
+    An isomorphism f keeps it: o(f(x)) = o(x), and z*z = x iff f(z)*f(z) = f(x).
     """
-    mul, inv, gens = g.mul, g.inv, g.gens_and_plans[0]
-    pending = [mul[mul[inv[a]][inv[b]]][mul[a][b]] for a, b in combinations(gens, 2)]
-    closure, used = {g.identity}, []
-    for t in pending:  # list iterators see conjugates appended while they run
-        if t not in closure:
-            closure = _coset_closure(mul, closure, used, t)
-            used.append(t)
-            pending.extend(mul[mul[inv[x]][t]][x] for x in gens)
-    return len(closure)
+    roots = [0] * g.order
+    for z, row in enumerate(g.mul):
+        roots[row[z]] += 1
+    return Counter(zip(g.orders, roots))
 
 
 def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:
     """A verified isomorphism G1 -> G2, or None.
 
-    Cheap invariants run first: order, abelianness, order spectrum, center
-    size and derived subgroup size, each read from the cached orders or
-    generators in O(d*n) products (up to log factors), never from all n^2
-    products. Only then does the generator-image backtracking search start.
+    Cheap invariants run first: the order, the square-root counts by element
+    order (_root_counts, which hold the order spectrum) and the centre size
+    (which tells abelian groups, |Z| = |G|, from the rest), in O(d*n)
+    products, never from all n^2. Only then does the generator-image
+    backtracking search start; it alone decides a pair that passes them.
     """
     if g1.order != g2.order:
         return None
-    if is_abelian(g1) != is_abelian(g2):
-        return None
-    if order_spectrum(g1) != order_spectrum(g2):
+    if _root_counts(g1) != _root_counts(g2):
         return None
     if len(center(g1)) != len(center(g2)):
-        return None
-    if _derived_size(g1) != _derived_size(g2):
         return None
     found = search_morphisms(g1, g2, bijective=True, first_only=True)
     if not found:

@@ -1,5 +1,7 @@
 """Group tables, axiom checking, morphisms, subgroups."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,7 +37,7 @@ from groupkit.core import (
     verify_group_axioms,
 )
 from groupkit.expr import parse_and_eval
-from groupkit.iso import _derived_size, are_isomorphic
+from groupkit.iso import _root_counts, are_isomorphic
 
 Z2_MUL = [[0, 1], [1, 0]]
 Z3_MUL = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -500,16 +502,9 @@ def _closed_by_scan(g: GroupTable, members) -> bool:
         g.inv[a] in mem and all(g.mul[a][b] in mem for b in mem) for a in mem)
 
 
-def _derived_size_by_scan(g: GroupTable) -> int:
-    mul, inv = g.mul, g.inv
-    comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]]
-             for a in range(g.order) for b in range(a + 1, g.order)}
-    closed = {g.identity}
-    while True:  # close under products until nothing new appears
-        grown = closed | comms | {mul[a][b] for a in closed | comms for b in closed | comms}
-        if grown == closed:
-            return len(closed)
-        closed, comms = grown, set()
+def _root_counts_by_scan(g: GroupTable) -> Counter:
+    return Counter((_order_by_powers(g, x), sum(1 for z in range(g.order) if g.mul[z][z] == x))
+                   for x in range(g.order))
 
 
 def _cyclic_subgroups(g: GroupTable):
@@ -522,21 +517,21 @@ def _cyclic_subgroups(g: GroupTable):
         yield powers
 
 
-# in A4, (Z2 x Z2) : Z3 [#1], the generators' one commutator spans a Z2 of G' = Z2 x Z2
+# A4, (Z2 x Z2) : Z3 [#1], has a trivial centre and an element with no square root
 _SHORTCUT_POOL = _PLAN_POOL + [
     t for expr in [*_GREEDY_EXPRS, "(Z2 x Z2) : Z3 [#1]"] for g in [parse_and_eval(expr)]
     for t in (g, _relabelled(g, g.order // 2 + 1))]
 
 
 class TestGeneratorShortcuts:
-    """The generator-only invariants and subgroup checks against full scans."""
+    """The generator-only invariants, the root counts and subgroup checks against full scans."""
 
     @pytest.mark.parametrize("g", _SHORTCUT_POOL, ids=repr)
     def test_invariants_match_full_scans(self, g):
         assert g.orders == tuple(_order_by_powers(g, x) for x in range(g.order))
         assert is_abelian(g) == _abelian_by_scan(g)
         assert center(g).members == _center_by_scan(g)
-        assert _derived_size(g) == _derived_size_by_scan(g)
+        assert _root_counts(g) == _root_counts_by_scan(g)
 
     @pytest.mark.parametrize("g", _SHORTCUT_POOL, ids=repr)
     def test_subgroup_checks_match_full_scans(self, g):

@@ -3,12 +3,14 @@
 import math
 import random
 from functools import cache, reduce
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupkit.iso
+from groupkit._search import search_morphisms
 from groupkit.aut import _aut_chain, aut_group
 from groupkit.construct import (
     actions,
@@ -24,6 +26,8 @@ from groupkit.expr import parse_and_eval, parse_expr
 from groupkit.iso import (
     CatalogName,
     _basic_pool,
+    _products,
+    _root_counts,
     _spectrum,
     abelian_invariants,
     are_isomorphic,
@@ -42,6 +46,18 @@ def _relabel(g: GroupTable, seed: int) -> GroupTable:
     mul = [[perm[g.mul[inverse[a]][inverse[b]]] for b in range(g.order)]
            for a in range(g.order)]
     return make_table(mul)
+
+
+def _small_pool() -> list[GroupTable]:
+    """The catalog's names of order <= 16, the (Z4 x Z2) : Z2 and (Z2 x Z2) : Z3
+    families, and a relabelled copy of each."""
+    exprs = {" x ".join(name.display for _, name in factors)
+             for n in range(1, 17)
+             for factors in chain(([(n, b)] for b in _basic_pool(n)), _products(n))}
+    exprs |= {f"(Z4 x Z2) : Z2 [#{k}]" for k in range(6)}
+    exprs |= {f"(Z2 x Z2) : Z3 [#{k}]" for k in range(3)}
+    groups = [parse_and_eval(expr) for expr in sorted(exprs)]
+    return groups + [_relabel(g, seed) for seed, g in enumerate(groups)]
 
 
 class TestAreIsomorphic:
@@ -75,9 +91,9 @@ class TestAreIsomorphic:
     def test_negative_pairs(self, g1, g2):
         assert are_isomorphic(g1, g2) is None
 
-    def test_negative_pair_that_defeats_every_prefilter(self):
+    def test_negative_pair_that_only_square_roots_tell_apart(self):
         # same order, both nonabelian, equal order spectra, equal center
-        # sizes, equal derived-subgroup sizes -- only the search can tell
+        # sizes; the square-root counts tell them apart before any search
         g1 = parse_and_eval("(Z4 x Z2) : Z2 [#1]")
         g2 = parse_and_eval("(Z4 x Z2) : Z2 [#4]")
         from groupkit.core import center, is_abelian, order_spectrum
@@ -86,7 +102,34 @@ class TestAreIsomorphic:
         assert not is_abelian(g1) and not is_abelian(g2)
         assert order_spectrum(g1) == order_spectrum(g2)
         assert len(center(g1)) == len(center(g2))
+        assert _root_counts(g1) != _root_counts(g2)
         assert are_isomorphic(g1, g2) is None
+        assert search_morphisms(g1, g2, bijective=True, first_only=True) == []
+
+    def test_order_128_pair_is_told_apart_without_a_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(groupkit.iso, "search_morphisms", refuse)
+        g1 = parse_and_eval("Z2 x Z2 x Z8 : Z4 [r^3]")
+        g2 = parse_and_eval("Z2 x Z2 x Z8 : Z4 [r^7]")
+        assert are_isomorphic(g1, g2) is None
+
+    def test_root_counts_agree_on_relabelled_copies(self):
+        for seed, expr in enumerate(["Z8 : Z2 [r^3]", "Z2 x D4", "Hol 8", "Z4 x Z4"]):
+            g = parse_and_eval(expr)
+            assert _root_counts(_relabel(g, seed)) == _root_counts(g)
+
+    def test_prefilter_rejects_no_isomorphic_pair(self):
+        # every pair the invariants reject must be one the search rejects too
+        by_order: dict[int, list[GroupTable]] = {}
+        for g in _small_pool():
+            by_order.setdefault(g.order, []).append(g)
+        for groups in by_order.values():
+            for i, g1 in enumerate(groups):
+                for g2 in groups[i:]:
+                    found = search_morphisms(g1, g2, bijective=True, first_only=True)
+                    assert (are_isomorphic(g1, g2) is not None) == bool(found)
 
     def test_relabelled_copies_are_isomorphic(self):
         for seed, g in enumerate([dihedral(4), cyclic(12), holomorph(5)]):

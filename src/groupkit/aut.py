@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 
-from .core import GroupTable, Morphism, SizeCapError, SubgroupRef, make_table
+from .core import GroupTable, Morphism, SizeCapError, SubgroupRef
 from ._search import generating_sequence, search_morphisms
 
 DEFAULT_AUT_CAP = 10_000
@@ -113,6 +113,10 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     itemgetter call per row. The walk from index 0 along S reaches every row:
     <S> is Aut G (_aut_chain), and in a finite group each inverse is a
     positive power, so products of members of S already give all of <S>.
+
+    The table skips make_table's scan: row 0 is the identity's, and row i
+    lists a_i a_j as a_j runs over Aut G, a permutation of 0..N-1, so a_i's
+    inverse is where row i holds 0.
     """
     strong, images = _chain_images(g, cap)
     gens = generating_sequence(g)
@@ -128,7 +132,9 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     if None in rows:
         raise RuntimeError("internal error: the strong generators miss an automorphism")
     autos = [Morphism(g, g, img) for img in images]
-    return AutGroup(g, tuple(autos), make_table(rows, _aut_names(g, autos)))
+    table = GroupTable(len(rows), tuple(rows), 0, tuple(row.index(0) for row in rows),
+                       tuple(_aut_names(g, autos)))
+    return AutGroup(g, tuple(autos), table)
 
 
 def is_characteristic(g: GroupTable, c: SubgroupRef, cap: int = DEFAULT_AUT_CAP) -> bool:

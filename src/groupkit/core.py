@@ -73,6 +73,15 @@ class GroupTable:
         return tuple(orders)
 
     @cached_property
+    def _root_key(self) -> tuple[tuple[int, int], ...]:
+        """(o(x), |{z : z*z = x}|) for each element x, from one pass over the
+        diagonal of mul; iso.are_isomorphic compares its multisets."""
+        roots = [0] * self.order
+        for z, row in enumerate(self.mul):
+            roots[row[z]] += 1
+        return tuple(zip(self.orders, roots))
+
+    @cached_property
     def gens_and_plans(self) -> tuple[tuple[int, ...], tuple[tuple[Step, ...], ...]]:
         """A greedy minimal generating sequence and its extension plans.
 
@@ -323,11 +332,12 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
 
 
 def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> GroupTable:
-    """Build a GroupTable from a mul array, deriving identity and inverses.
+    """Build a GroupTable from a mul array a caller supplies, deriving identity and inverses.
 
     Checks that every entry lies in 0..n-1 and that names, when given, has n
     entries, and finds the two-sided identity and each two-sided inverse;
-    verify_group_axioms is the full check.
+    verify_group_axioms is the full check. The package's constructors build
+    from checked parts and derive the identity and inverses without this scan.
     """
     n = len(mul)
     rows = tuple(tuple(r) for r in mul)
@@ -483,14 +493,18 @@ def subgroup_table(g: GroupTable, members: Iterable[int]) -> tuple[GroupTable, t
     """Extract a subgroup as its own GroupTable.
 
     Returns (table, embed) where embed maps new indices to parent indices;
-    the identity lands at new index 0.
+    the identity lands at new index 0. SubgroupRef checks that the members
+    are closed under products, so every product and inverse (a power, in a
+    finite group) of a member is one, and `back` renames it: the identity is
+    0 and inv[i] = back[g.inv[embed[i]]].
     """
     ref = SubgroupRef(g, tuple(members))
     embed = [g.identity] + [x for x in ref.members if x != g.identity]
     back = {x: i for i, x in enumerate(embed)}
     mul = tuple(tuple(back[g.mul[a][b]] for b in embed) for a in embed)
     names = tuple(g.elem_names[x] for x in embed)
-    return make_table(mul, names), tuple(embed)
+    inv = tuple(back[g.inv[x]] for x in embed)
+    return GroupTable(len(embed), mul, 0, inv, names), tuple(embed)
 
 
 def kernel(m: Morphism) -> SubgroupRef:

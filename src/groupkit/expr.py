@@ -29,7 +29,7 @@ detected when the expression is evaluated to a table.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain, count
 from math import gcd
 from typing import Iterator, NoReturn, Union
@@ -80,8 +80,37 @@ class Holomorph:
     n: int
 
 
-@dataclass(frozen=True)
-class Product:
+class _Operator:
+    """repr, == and hash of Product and Semidirect from one walk with an
+    explicit stack: the dataclass versions recurse once per node, so a chain
+    of 1,200 operators, which parses and evaluates, would overflow the stack."""
+
+    def _tokens(self) -> tuple:
+        """The pieces of the dataclass-style repr, leaves as objects; equal
+        tokens mean equal trees, as the text around the leaves is the tree."""
+        out, todo = [], [self]
+        while todo:
+            e = todo.pop()
+            if isinstance(e, _Operator):
+                todo += reversed([f"{type(e).__name__}(", *chain.from_iterable(
+                    (", " * (i > 0) + f.name + "=", getattr(e, f.name))
+                    for i, f in enumerate(fields(e))), ")"])
+            else:
+                out.append(e)
+        return tuple(out)
+
+    def __eq__(self, other):
+        return isinstance(other, _Operator) and self._tokens() == other._tokens()
+
+    def __hash__(self):
+        return hash(self._tokens())
+
+    def __repr__(self):
+        return "".join(t if isinstance(t, str) else repr(t) for t in self._tokens())
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Product(_Operator):
     left: "GroupExpr"
     right: "GroupExpr"
 
@@ -103,8 +132,8 @@ class Index:
 ActionSpec = Union[CyclicPower, Index]
 
 
-@dataclass(frozen=True)
-class Semidirect:
+@dataclass(frozen=True, eq=False, repr=False)
+class Semidirect(_Operator):
     k_expr: "GroupExpr"
     h_expr: "GroupExpr"
     action: ActionSpec

@@ -17,14 +17,12 @@ SEMIDIRECT_POOL_LIMIT = 128
 
 
 def _root_counts(g: GroupTable) -> Counter:
-    """The multiset of (o(x), |{z : z*z = x}|) over the elements x, in O(n).
+    """The multiset of (o(x), |{z : z*z = x}|) over the elements x, counted
+    from the table's cached key (GroupTable._root_key).
 
     An isomorphism f keeps it: o(f(x)) = o(x), and z*z = x iff f(z)*f(z) = f(x).
     """
-    roots = [0] * g.order
-    for z, row in enumerate(g.mul):
-        roots[row[z]] += 1
-    return Counter(zip(g.orders, roots))
+    return Counter(g._root_key)
 
 
 def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:

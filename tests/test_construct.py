@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupkit.construct
 from groupkit.aut import aut_group, automorphisms
 from groupkit.construct import (
     Action,
@@ -25,9 +26,11 @@ from groupkit.construct import (
 from groupkit.core import (
     Morphism,
     SizeCapError,
+    center,
     is_abelian,
     make_table,
     subgroup_generated,
+    subgroup_table,
     verify_group_axioms,
 )
 from groupkit.iso import are_isomorphic
@@ -432,3 +435,41 @@ def test_searches_leave_no_reference_cycles():
             assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_built_tables_and_actions_pass_the_full_checks(monkeypatch):
+    """Tables and actions built from checked parts, without make_table or
+    Action's check, against both: each table equals make_table of its rows
+    and passes verify_group_axioms, and each action passes Action(...)."""
+    built_actions = []
+    trusted = groupkit.construct._trusted_action
+
+    def recorded(*args):
+        built_actions.append(trusted(*args))
+        return built_actions[-1]
+
+    monkeypatch.setattr(groupkit.construct, "_trusted_action", recorded)
+    small = ([cyclic(n, "s") for n in range(1, 7)] + [dihedral(n) for n in range(1, 5)]
+             + [_shifted(cyclic(4)), _shifted(dihedral(3))])
+    tables = [cyclic(n) for n in range(1, 41)] + [dihedral(n) for n in range(1, 31)]
+    tables += [holomorph(n) for n in range(2, 17)]
+    tables += [aut_group(g).table for g in small]
+    for k in small:
+        for h in small:
+            if k.order * h.order > 48:
+                continue
+            tables.append(direct_product(k, h))
+            for a in actions(h, k):
+                g = semidirect(k, h, a)
+                k_copy = [x * h.order + h.identity for x in range(k.order)]
+                tables += [g, subgroup_table(g, center(g).members)[0],
+                           subgroup_table(g, k_copy)[0]]
+                if g.order <= 12:
+                    tables.append(aut_group(g).table)
+    for t in tables:
+        assert t == make_table(t.mul, t.elem_names)
+        assert verify_group_axioms(t).ok
+    assert len(tables) > 1000
+    assert {a.h_group.order for a in built_actions} >= {1, 2, 4, 6, 8}
+    for a in built_actions:
+        assert Action(a.h_group, a.k_group, a.maps) == a

@@ -68,6 +68,29 @@ class TestParse:
         assert grouped == Product(Product(Cyclic(2), Cyclic(3)), Cyclic(4))
         assert plain == Product(Cyclic(2), Product(Cyclic(3), Cyclic(4)))
 
+    def test_long_chains_have_repr_eq_and_hash(self):
+        # the dataclass-generated versions recursed once per operator and overflowed
+        products = " x ".join(["Z1"] * 1200)
+        e, twin = parse_expr(products), parse_expr(products)
+        assert e == twin and hash(e) == hash(twin)
+        assert e != parse_expr(" x ".join(["Z1"] * 1199))
+        assert repr(e) == "Product(left=" * 1199 + "Cyclic(n=1)" + ", right=Cyclic(n=1))" * 1199
+        semidirects = "Z2" + " : Z1 [#0]" * 1200
+        e, twin = parse_expr(semidirects), parse_expr(semidirects)
+        assert e == twin and hash(e) == hash(twin)
+        assert e != parse_expr("Z2" + " : Z1 [#0]" * 1199 + " : Z1 [#1]")
+        assert repr(e) == ("Semidirect(k_expr=" * 1200 + "Cyclic(n=2)"
+                           + ", h_expr=Cyclic(n=1), action=Index(j=0))" * 1200)
+
+    def test_operators_compare_by_kind_and_children(self):
+        pair = Product(Cyclic(2), Cyclic(3))
+        assert pair != Semidirect(Cyclic(2), Cyclic(3), Index(0))
+        assert pair != Product(Dihedral(2), Cyclic(3)) and pair != Cyclic(2)
+        assert {pair, Product(Cyclic(2), Cyclic(3))} == {pair}
+        assert repr(Semidirect(pair, Cyclic(2), CyclicPower(3))) == (
+            "Semidirect(k_expr=Product(left=Cyclic(n=2), right=Cyclic(n=3)), "
+            "h_expr=Cyclic(n=2), action=CyclicPower(i=3))")
+
 
 class TestSyntaxErrors:
     @pytest.mark.parametrize(

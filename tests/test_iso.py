@@ -2,7 +2,7 @@
 
 import math
 import random
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain
 
 import pytest
@@ -114,6 +114,32 @@ class TestAreIsomorphic:
         g1 = parse_and_eval("Z2 x Z2 x Z8 : Z4 [r^3]")
         g2 = parse_and_eval("Z2 x Z2 x Z8 : Z4 [r^7]")
         assert are_isomorphic(g1, g2) is None
+
+    def test_root_key_is_computed_once_per_table(self, monkeypatch):
+        walks = []
+        scan = GroupTable._root_key.func
+
+        def counted(g):
+            walks.append(g)
+            return scan(g)
+
+        key = cached_property(counted)
+        key.__set_name__(GroupTable, "_root_key")
+        monkeypatch.setattr(GroupTable, "_root_key", key)
+        g1 = parse_and_eval("Z8 : Z2 [r^3]")
+        g2 = _relabel(g1, 0)
+        for _ in range(3):
+            assert are_isomorphic(g1, g2) is not None
+            assert are_isomorphic(g2, g1) is not None
+        assert sorted(map(id, walks)) == sorted([id(g1), id(g2)])
+
+    @pytest.mark.parametrize("expr", ["Z8 : Z2 [r^3]", "Z2 x D4", "Hol 8", "(Z2 x Z2) : Z3 [#1]"])
+    def test_root_key_matches_a_diagonal_scan(self, expr):
+        for seed in range(3):
+            g = _relabel(parse_and_eval(expr), seed)
+            assert g._root_key == tuple(
+                (g.orders[x], sum(1 for z in range(g.order) if g.mul[z][z] == x))
+                for x in range(g.order))
 
     def test_root_counts_agree_on_relabelled_copies(self):
         for seed, expr in enumerate(["Z8 : Z2 [r^3]", "Z2 x D4", "Hol 8", "Z4 x Z4"]):

@@ -27,14 +27,15 @@ class GroupTable:
     honours the stored identity field, so relabeled tables stay valid.
     elem_names are display-only and never affect semantics.
 
-    Derived data (element orders, generating sequence, extension plans) is
-    computed on first use and cached on the instance; it is not a field, so
-    it never affects eq, hash or repr. The orders cost O(n) products up to a
-    log log n factor, and each step of the generating sequence one coset
-    walk of O(|<H, y>| * (d + 1)) products per right coset of the subgroup H
-    grown so far, then one closure walk that stops at the size the winning
-    trial found. The queries below (is_abelian, center, is_normal, subgroup
-    checks) test generators only, so none of them reads all n^2 products.
+    Derived data (element orders, root counts, class sizes, generating
+    sequence, extension plans) is computed on first use and cached on the
+    instance; it is not a field, so it never affects eq, hash or repr. The
+    orders cost O(n) products up to a log log n factor, and each step of the
+    generating sequence one coset walk of O(|<H, y>| * (d + 1)) products per
+    right coset of the subgroup H grown so far, then one closure walk that
+    stops at the size the winning trial found. The queries below
+    (is_abelian, center, is_normal, subgroup checks) test generators only,
+    so none of them reads all n^2 products.
     """
 
     order: int
@@ -80,6 +81,27 @@ class GroupTable:
         for z, row in enumerate(self.mul):
             roots[row[z]] += 1
         return tuple(zip(self.orders, roots))
+
+    @cached_property
+    def _class_key(self) -> tuple[tuple[int, int, int], ...]:
+        """_root_key plus each element's conjugacy-class size, in O(d*n)
+        products: the classes are the orbits of the maps y -> s^-1*y*s, one
+        itemgetter each, for the generators s, as conjugation by a product is
+        the composite of conjugations. The centre is the classes of size 1."""
+        mul, size = self.mul, [0] * self.order
+        perms = [itemgetter(*mul[self.inv[s]])([row[s] for row in mul])
+                 for s in self.gens_and_plans[0]]
+        for x in range(self.order):
+            if not size[x]:
+                orbit, size[x] = [x], 1
+                for y in orbit:  # list iterators see elements appended while they run
+                    for p in perms:
+                        if not size[p[y]]:
+                            size[p[y]] = 1
+                            orbit.append(p[y])
+                for y in orbit:
+                    size[y] = len(orbit)
+        return tuple((o, r, c) for (o, r), c in zip(self._root_key, size))
 
     @cached_property
     def gens_and_plans(self) -> tuple[tuple[int, ...], tuple[tuple[Step, ...], ...]]:

@@ -5,10 +5,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, product
-from math import gcd, isqrt, lcm, log, prod
+from itertools import chain, islice
+from math import gcd, isqrt, log, prod
+from operator import mul
 
-from .core import GroupTable, Morphism, center, is_abelian, order_spectrum
+from .core import GroupTable, Morphism, is_abelian, order_spectrum
 from ._search import search_morphisms
 from .expr import parse_and_eval
 from .numth import factorize, multiplicative_order, totatives
@@ -28,17 +29,15 @@ def _root_counts(g: GroupTable) -> Counter:
 def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:
     """A verified isomorphism G1 -> G2, or None.
 
-    Cheap invariants run first: the order, the square-root counts by element
-    order (_root_counts, which hold the order spectrum) and the centre size
-    (which tells abelian groups, |Z| = |G|, from the rest), in O(d*n)
-    products, never from all n^2. Only then does the generator-image
-    backtracking search start; it alone decides a pair that passes them.
+    Cheap invariants, cached on each table and O(d*n) products each, run
+    first: the order, the square-root counts by element order (_root_counts,
+    which hold the order spectrum), then, for pairs those leave, the
+    multiset of GroupTable._class_key, which adds class sizes and so |Z(G)|.
+    Only then does the backtracking search start; it alone decides the rest.
     """
-    if g1.order != g2.order:
+    if g1.order != g2.order or _root_counts(g1) != _root_counts(g2):
         return None
-    if _root_counts(g1) != _root_counts(g2):
-        return None
-    if len(center(g1)) != len(center(g2)):
+    if Counter(g1._class_key) != Counter(g2._class_key):
         return None
     found = search_morphisms(g1, g2, bijective=True, first_only=True)
     if not found:
@@ -137,15 +136,37 @@ def _spectrum(name: CatalogName) -> dict[int, int]:
     return spec
 
 
-def _products(order: int):
-    """Lists [(order, basic name), ...] of two or more factors: for each divisor d,
-    d*d <= order, ascending, each basic a of order d times each basic, then each
-    product, of order // d."""
-    for d in range(2, isqrt(order) + 1):
-        if order % d == 0:
-            for a in _basic_pool(d):
-                yield from ([(d, a), (order // d, b)] for b in _basic_pool(order // d))
-                yield from ([(d, a), *rest] for rest in _products(order // d))
+def _factorings(order: int, spec: dict[int, int] | None = None):
+    """Lists [(order, basic name), ...] of two or more factors whose orders
+    multiply to order, each multiset once, ascending in (order, _basic_pool
+    index), in the first-occurrence order of the walk over each divisor d,
+    d*d <= order, each name a of order d, then each name and each list of
+    order order // d. With spec, only lists whose product has that order
+    spectrum: N_k = |{x : x^k = e}|, k | order, multiplies over direct
+    factors, so a prefix whose N_k does not divide spec's has no match, and
+    equal N_k for all k is an equal spectrum, as N_k sums it over k's divisors.
+    """
+    divisors = [k for k in range(1, order + 1) if order % k == 0]
+
+    def counts(s):
+        return tuple(sum(c for d, c in s.items() if k % d == 0) for k in divisors)
+
+    goal, n_of = spec and counts(spec), cache(lambda name: counts(_spectrum(name)))
+
+    def walk(rest, least, got):
+        for d in range(least[0], isqrt(rest) + 1):
+            if rest % d:
+                continue
+            for i, a in islice(enumerate(_basic_pool(d)), least[1] if d == least[0] else 0, None):
+                n_a = tuple(map(mul, got, n_of(a)))
+                if goal and any(want % have for want, have in zip(goal, n_a)):
+                    continue
+                yield from ([(d, a), (rest // d, b)] for j, b in enumerate(_basic_pool(rest // d))
+                            if (rest // d > d or j >= i)
+                            and (not goal or tuple(map(mul, n_a, n_of(b))) == goal))
+                yield from ([(d, a), *more] for more in walk(rest // d, (d, i), n_a))
+
+    yield from walk(order, (2, 0), (1,) * len(divisors))
 
 
 def identify(g: GroupTable) -> CatalogName:
@@ -158,12 +179,12 @@ def identify(g: GroupTable) -> CatalogName:
 
     An abelian group is named from its element orders (abelian_invariants),
     with one commutativity scan and no search. For the rest, one loop walks
-    the candidates in that order. Each multiset of factors is tried once; its
-    spectrum is folded from the closed-form spectra of its factors
-    (_spectrum), as o((a, b)) = lcm(o(a), o(b)). Only when that spectrum is
-    G's is a table built, by parse_and_eval of the display the candidate
-    would return, and searched; so the name is the text of the group that
-    matched. Neither skip changes the answer.
+    the candidates in that order: the dihedral and semidirect names whose
+    closed-form spectrum (_spectrum) is G's, and between them the factor
+    multisets _factorings lists for G's spectrum, each once, pruned by the
+    counts N_k of its prefixes. Only then is a table built, by parse_and_eval
+    of the display the candidate would return, and searched; so the name is
+    the text of the group that matched. Neither skip changes the answer.
     """
     n = g.order
     if max(g.orders) == n:
@@ -171,26 +192,15 @@ def identify(g: GroupTable) -> CatalogName:
     if is_abelian(g):
         invs = tuple(_invariant_factors(g))
         return CatalogName("abelian-product", invs, " x ".join(f"Z{d}" for d in invs))
-    basics = list(_basic_pool(n))
-    candidates = chain(([(n, b)] for b in basics if b.kind == "dihedral"), _products(n),
-                       ([(n, b)] for b in basics if b.kind == "semidirect-cyclic"))
-    spec, tried = order_spectrum(g), set()
-    spectrum = cache(_spectrum)
-    for factors in candidates:
+    basics, spec = list(_basic_pool(n)), order_spectrum(g)
+
+    def singles(kind):
+        return ([(n, b)] for b in basics if b.kind == kind and _spectrum(b) == spec)
+
+    for factors in chain(singles("dihedral"), _factorings(n, spec), singles("semidirect-cyclic")):
         factors.sort(key=lambda f: (f[0], f[1].display))
-        names = tuple(name for _, name in factors)
-        if names in tried:
-            continue
-        tried.add(names)
-        joint = {1: 1}
-        for name in names:
-            step: dict[int, int] = {}
-            for (a, x), (b, y) in product(joint.items(), spectrum(name).items()):
-                c = lcm(a, b)
-                step[c] = step.get(c, 0) + x * y
-            joint = step
-        display = " x ".join(name.display for name in names)
-        if joint == spec and are_isomorphic(g, parse_and_eval(display)):
-            return names[0] if len(names) == 1 else CatalogName(
+        display = " x ".join(name.display for _, name in factors)
+        if are_isomorphic(g, parse_and_eval(display)):
+            return factors[0][1] if len(factors) == 1 else CatalogName(
                 "product-of-named", tuple(d for d, _ in factors), display)
     return CatalogName("unidentified", (n,), f"unidentified (order {n})")

@@ -507,6 +507,11 @@ def _root_counts_by_scan(g: GroupTable) -> Counter:
                    for x in range(g.order))
 
 
+def _class_sizes_by_scan(g: GroupTable) -> list[int]:
+    mul, inv = g.mul, g.inv
+    return [len({mul[mul[h][x]][inv[h]] for h in range(g.order)}) for x in range(g.order)]
+
+
 def _cyclic_subgroups(g: GroupTable):
     """The powers of each element, as the members of the subgroup it generates."""
     for x in range(g.order):
@@ -524,7 +529,8 @@ _SHORTCUT_POOL = _PLAN_POOL + [
 
 
 class TestGeneratorShortcuts:
-    """The generator-only invariants, the root counts and subgroup checks against full scans."""
+    """The generator-only invariants, the root counts, the class sizes and subgroup checks
+    against full scans."""
 
     @pytest.mark.parametrize("g", _SHORTCUT_POOL, ids=repr)
     def test_invariants_match_full_scans(self, g):
@@ -532,6 +538,8 @@ class TestGeneratorShortcuts:
         assert is_abelian(g) == _abelian_by_scan(g)
         assert center(g).members == _center_by_scan(g)
         assert _root_counts(g) == _root_counts_by_scan(g)
+        assert [key[:2] for key in g._class_key] == list(g._root_key)
+        assert [key[2] for key in g._class_key] == _class_sizes_by_scan(g)
 
     @pytest.mark.parametrize("g", _SHORTCUT_POOL, ids=repr)
     def test_subgroup_checks_match_full_scans(self, g):

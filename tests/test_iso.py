@@ -3,7 +3,6 @@
 import math
 import random
 from functools import cache, cached_property, reduce
-from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +25,7 @@ from groupkit.expr import parse_and_eval, parse_expr
 from groupkit.iso import (
     CatalogName,
     _basic_pool,
-    _products,
+    _factorings,
     _root_counts,
     _spectrum,
     abelian_invariants,
@@ -51,9 +50,9 @@ def _relabel(g: GroupTable, seed: int) -> GroupTable:
 def _small_pool() -> list[GroupTable]:
     """The catalog's names of order <= 16, the (Z4 x Z2) : Z2 and (Z2 x Z2) : Z3
     families, and a relabelled copy of each."""
-    exprs = {" x ".join(name.display for _, name in factors)
-             for n in range(1, 17)
-             for factors in chain(([(n, b)] for b in _basic_pool(n)), _products(n))}
+    exprs = {name.display for n in range(1, 17) for name in _basic_pool(n)}
+    exprs |= {" x ".join(display for _, display in factors)
+              for n in range(1, 17) for factors in _reference_products(n)}
     exprs |= {f"(Z4 x Z2) : Z2 [#{k}]" for k in range(6)}
     exprs |= {f"(Z2 x Z2) : Z3 [#{k}]" for k in range(3)}
     groups = [parse_and_eval(expr) for expr in sorted(exprs)]
@@ -114,6 +113,44 @@ class TestAreIsomorphic:
         g1 = parse_and_eval("Z2 x Z2 x Z8 : Z4 [r^3]")
         g2 = parse_and_eval("Z2 x Z2 x Z8 : Z4 [r^7]")
         assert are_isomorphic(g1, g2) is None
+
+    def test_order_64_pair_that_only_class_sizes_tell_apart(self, monkeypatch):
+        # equal order, square-root counts and centre size; the class sizes
+        # differ, so no search runs
+        from groupkit.core import center
+
+        g1 = aut_group(parse_and_eval("Z32 x Z2")).table
+        g2 = parse_and_eval("Z2 x Z2 x Z8 : Z2 [r^5]")
+        assert g1.order == g2.order == 64
+        assert _root_counts(g1) == _root_counts(g2)
+        assert len(center(g1)) == len(center(g2))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(groupkit.iso, "search_morphisms", refuse)
+        assert are_isomorphic(g1, g2) is None
+
+    def test_class_key_is_computed_once_and_only_past_the_root_counts(self, monkeypatch):
+        walks = []
+        scan = GroupTable._class_key.func
+
+        def counted(g):
+            walks.append(g)
+            return scan(g)
+
+        key = cached_property(counted)
+        key.__set_name__(GroupTable, "_class_key")
+        monkeypatch.setattr(GroupTable, "_class_key", key)
+        g1 = parse_and_eval("Z8 : Z2 [r^3]")
+        g2 = _relabel(g1, 0)
+        for _ in range(3):
+            assert are_isomorphic(g1, g2) is not None
+            assert are_isomorphic(g2, g1) is not None
+        assert sorted(map(id, walks)) == sorted([id(g1), id(g2)])
+        walks.clear()
+        assert are_isomorphic(parse_and_eval("D48 x Z2"), parse_and_eval("D96")) is None
+        assert walks == []
 
     def test_root_key_is_computed_once_per_table(self, monkeypatch):
         walks = []
@@ -380,6 +417,14 @@ def _reference_products(order: int) -> tuple[tuple[tuple[int, str], ...], ...]:
                         for b in _reference_basics(order // d)]
                 out += [((d, a.display), *rest) for rest in _reference_products(order // d)]
     return tuple(out)
+
+
+def test_factorings_list_the_reference_multisets_once_in_order():
+    for n in [*range(1, 400), 1536]:
+        firsts = list(dict.fromkeys(tuple(sorted(factors)) for factors in _reference_products(n)))
+        walked = [tuple(sorted((d, name.display) for d, name in factors))
+                  for factors in _factorings(n)]
+        assert walked == firsts, n
 
 
 def _reference_identify(g: GroupTable) -> CatalogName:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from operator import itemgetter
 
-from .core import GroupTable, Morphism, SizeCapError, SubgroupRef
+from .core import GroupTable, Morphism, SizeCapError, SubgroupRef, _compose_rows
 from ._search import generating_sequence, search_morphisms
 
 DEFAULT_AUT_CAP = 10_000
@@ -108,11 +107,10 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     a_i is the automorphism with the i-th smallest image array, so a_0 is the
     identity map and row 0 is 0, 1, ..., N-1. For each strong generator s,
     lift[j] is the index of s after a_j, found by its images of the
-    generators of G, which fix an automorphism. If a_q = s a_p then
-    a_q a_j = s (a_p a_j), so row q is row p read through lift: one C-level
-    itemgetter call per row. The walk from index 0 along S reaches every row:
-    <S> is Aut G (_aut_chain), and in a finite group each inverse is a
-    positive power, so products of members of S already give all of <S>.
+    generators of G, which fix an automorphism; so lift is s's row of the
+    table, every entry in range. Composition of automorphisms is a group
+    operation and <S> is Aut G (_aut_chain), so _compose_rows builds every
+    row from the lifts.
 
     The table skips make_table's scan: row 0 is the identity's, and row i
     lists a_i a_j as a_j runs over Aut G, a permutation of 0..N-1, so a_i's
@@ -122,17 +120,9 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     gens = generating_sequence(g)
     index_of = {tuple(map(img.__getitem__, gens)): i for i, img in enumerate(images)}
     lifts = [[index_of[tuple(map(s.__getitem__, key))] for key in index_of] for s in strong]
-    rows: list[tuple[int, ...] | None] = [None] * len(images)
-    rows[0], walk = tuple(range(len(images))), [0]
-    for p in walk:
-        for lift in lifts:
-            if rows[q := lift[p]] is None:
-                rows[q] = itemgetter(*rows[p])(lift)  # a tuple: S is not empty, so N > 1
-                walk.append(q)
-    if None in rows:
-        raise RuntimeError("internal error: the strong generators miss an automorphism")
+    rows = _compose_rows(len(images), 0, lifts)
     autos = [Morphism(g, g, img) for img in images]
-    table = GroupTable(len(rows), tuple(rows), 0, tuple(row.index(0) for row in rows),
+    table = GroupTable(len(rows), rows, 0, tuple(row.index(0) for row in rows),
                        tuple(_aut_names(g, autos)))
     return AutGroup(g, tuple(autos), table)
 

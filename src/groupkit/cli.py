@@ -134,6 +134,17 @@ def _cmd_verify_paper(args: argparse.Namespace) -> int:
     return EXIT_OK if summary.ok else EXIT_NEGATIVE
 
 
+def _max_n(text: str) -> int:
+    """--max-n's value, an integer of at least 1; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first main call and kept for the process.
@@ -192,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-n",
-        type=int,
+        type=_max_n,
         default=None,
         metavar="N",
         help="bound the n-indexed sweeps at N (smaller N runs faster)",

@@ -9,8 +9,6 @@ not merely isomorphic to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
 
 from . import aut as _aut
 from .core import (
@@ -19,6 +17,7 @@ from .core import (
     Morphism,
     SizeCapError,
     SubgroupRef,
+    _compose_rows,
     _coset_closure,
     identity_morphism,
     is_normal,
@@ -136,9 +135,13 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
     """K x| H with (k1,h1)(k2,h2) = (k1 * h1(k2), h1*h2), pair encoded.
 
     K and H are groups and Action holds a homomorphism H -> Aut(K), so the
-    product is a group, built without make_table's scan: every cell is read
-    out of range(order), the identity is (e_K, e_H), and (k, h)^-1 is
-    (h^-1(k^-1), h^-1), as (k, h)(h^-1(k^-1), h^-1) = (k * k^-1, h * h^-1).
+    product is a group, built without make_table's scan. Only the rows of
+    the generators (x, e_H) and (e_K, y), for x and y in the generating
+    sequences of K and H, are computed from the definition, every entry in
+    range(order); they generate the product, as (k, h) = (k, e_H)(e_K, h),
+    and _compose_rows builds the other rows from them. The identity is
+    (e_K, e_H), and (k, h)^-1 is (h^-1(k^-1), h^-1), as
+    (k, h)(h^-1(k^-1), h^-1) = (k * k^-1, h * h^-1).
     """
     if action.k_group != k or action.h_group != h:
         raise ValueError("action does not match the given K and H")
@@ -146,23 +149,19 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
     if order > size_cap:
         raise SizeCapError(f"order {order} exceeds size cap {size_cap}")
     no_h = h.order
-    cells = tuple(range(order))
-    segments = [cells[c * no_h:(c + 1) * no_h] for c in range(k.order)]
-    # (k1, h1) = (k1, e)(e, h1), so row (k1, h1) is row (k1, e) read at row (e, h1)
-    h_reads = []
-    for m, hrow in zip(action.maps, h.mul):
-        blocks = [tuple(map(seg.__getitem__, hrow)) for seg in segments]
-        h_reads.append(itemgetter(*chain.from_iterable(map(blocks.__getitem__, m.image))))
-    mul = []
-    for row in k.mul:
-        k_row = tuple(chain.from_iterable(map(segments.__getitem__, row)))
-        mul.extend(read(k_row) for read in h_reads)
+    # the rows of (x, e_H) and (e_K, y): (x, e_H)(k2, h2) = (x*k2, h2) and
+    # (e_K, y)(k2, h2) = (y(k2), y*h2), with (k2, h2) at k2*|H| + h2
+    gen_rows = [[xk * no_h + h2 for xk in k.mul[x] for h2 in range(no_h)]
+                for x in k.gens_and_plans[0]]
+    gen_rows += [[yk * no_h + yh for yk in action.maps[y].image for yh in h.mul[y]]
+                 for y in h.gens_and_plans[0]]
     inv = [0] * order
     for y, y_inv in enumerate(h.inv):  # the inverses (k, y)^-1 for every k
         acts = action.maps[y_inv].image
         inv[y::no_h] = [acts[x] * no_h + y_inv for x in k.inv]
-    return GroupTable(order, tuple(mul) if order > 1 else ((0,),),
-                      k.identity * no_h + h.identity, tuple(inv), _pair_names(k, h))
+    identity = k.identity * no_h + h.identity
+    return GroupTable(order, _compose_rows(order, identity, gen_rows),
+                      identity, tuple(inv), _pair_names(k, h))
 
 
 def direct_product(k: GroupTable, h: GroupTable,

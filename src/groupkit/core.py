@@ -478,6 +478,31 @@ def grow_closure(mul, closed: Sequence[int], x: int, steps: list[Step], size: in
     return grown
 
 
+def _compose_rows(order: int, identity: int,
+                  gen_rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The Cayley table of a group, composed from the rows of its generators.
+
+    gen_rows[i] is the row of a generator s, s*0, ..., s*(order-1), each
+    entry in range(order). Row `identity` is 0, 1, ..., order-1, and for a
+    row p already built and q = s*p, q*c = s*(p*c) by associativity, so row
+    q is row p read through row s: one C-level itemgetter call per row. The
+    walk from the identity along the generators reaches every product of
+    them, which in a finite group is all of the group they generate, as each
+    inverse is a positive power; so a row is left unset only when they do
+    not generate the whole group, and that raises RuntimeError.
+    """
+    rows: list[tuple[int, ...] | None] = [None] * order
+    rows[identity], walk = tuple(range(order)), [identity]
+    for p in walk:  # list iterators see rows appended while they run
+        for s in gen_rows:
+            if rows[q := s[p]] is None:
+                rows[q] = itemgetter(*rows[p])(s)  # a tuple: q is not the identity, so order > 1
+                walk.append(q)
+    if None in rows:
+        raise RuntimeError("internal error: the generator rows miss an element")
+    return tuple(rows)
+
+
 def subgroup_generated(g: GroupTable, gens: Iterable[int]) -> SubgroupRef:
     """<gens>, grown one generator at a time by _coset_closure."""
     gens = list(gens)

@@ -144,6 +144,19 @@ class TestVerifyPaper:
                      if r["claim"].startswith("thm6.4."))]
         assert products and max(products) <= 6
 
+    @pytest.mark.parametrize("value", ["0", "-1", "six"])
+    def test_max_n_below_one_is_a_usage_error(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-paper", "--max-n", value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-n" in captured.err
+
+    def test_max_n_of_one_runs(self, capsys):
+        assert main(["verify-paper", "--max-n", "1"]) == 0
+        assert " 0 failed" in capsys.readouterr().out
+
     def test_negative_control_exits_nonzero(self, capsys):
         assert main(["verify-paper", "--max-n", "3", "--negative-control"]) == 1
         out = capsys.readouterr().out

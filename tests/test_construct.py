@@ -389,13 +389,8 @@ def _shifted(g):
                        for a in range(n)])
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_semidirect_table_follows_the_pair_formula(data):
-    k = data.draw(st.sampled_from(_ACTED_ON + [cyclic(1), _shifted(dihedral(3))]))
-    h = data.draw(st.sampled_from(_ACTING + [cyclic(1, "s"), _shifted(cyclic(4, "s"))]))
-    a = data.draw(st.sampled_from(actions(h, k)))
-    g = semidirect(k, h, a)
+def _assert_pair_formula(g, k, h, a):
+    """g is K x| H under a, cell by cell: (k1,h1)(k2,h2) = (k1 * h1(k2), h1*h2)."""
     n_h = h.order
     assert g.identity == k.identity * n_h + h.identity
     for k1 in range(k.order):
@@ -404,6 +399,33 @@ def test_semidirect_table_follows_the_pair_formula(data):
             assert g.mul[k1 * n_h + h1] == tuple(
                 k.mul[k1][image[k2]] * n_h + h.mul[h1][h2]
                 for k2 in range(k.order) for h2 in range(n_h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_semidirect_table_follows_the_pair_formula(data):
+    k = data.draw(st.sampled_from(_ACTED_ON + [cyclic(1), _shifted(dihedral(3))]))
+    h = data.draw(st.sampled_from(_ACTING + [cyclic(1, "s"), _shifted(cyclic(4, "s"))]))
+    a = data.draw(st.sampled_from(actions(h, k)))
+    _assert_pair_formula(semidirect(k, h, a), k, h, a)
+
+
+def _holomorph_factors(n):
+    k = cyclic(n)
+    ag = aut_group(k)
+    return k, ag.table, Action(ag.table, k, ag.elements)
+
+
+@pytest.mark.parametrize("build, factors", [
+    (lambda: dihedral(192),
+     lambda: (cyclic(192), cyclic(2, "s"), power_action(cyclic(2, "s"), cyclic(192), -1))),
+    (lambda: direct_product(dihedral(48), cyclic(2)),
+     lambda: (dihedral(48), cyclic(2), trivial_action(cyclic(2), dihedral(48)))),
+    (lambda: holomorph(16), lambda: _holomorph_factors(16)),
+], ids=["D192", "D48 x Z2", "Hol 16"])
+def test_products_at_bench_orders_follow_the_pair_formula(build, factors):
+    # orders 384, 192 and 128, past the factors of order 6 or less that the test above draws
+    _assert_pair_formula(build(), *factors())
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,6 +22,7 @@ from groupkit.core import (
     Morphism,
     SizeCapError,
     SubgroupRef,
+    _compose_rows,
     center,
     element_order,
     grow_closure,
@@ -568,6 +569,16 @@ class TestGeneratorShortcuts:
         assert all(g.mul[1][a] in members and g.mul[a][1] in members for a in members)
         with pytest.raises(ValueError, match=r"not closed under product at \(2, 2\)"):
             SubgroupRef(g, members)
+
+
+class TestComposeRows:
+    def test_rows_that_do_not_generate_raise(self):
+        # Z4 given only the row of 2 reaches {0, 2}
+        with pytest.raises(RuntimeError, match="internal error"):
+            _compose_rows(4, 0, [cyclic(4).mul[2]])
+
+    def test_order_one_without_generators(self):
+        assert _compose_rows(1, 0, []) == ((0,),)
 
 
 class TestJson:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
+from operator import itemgetter
 
 from .core import GroupTable, Morphism, SizeCapError, SubgroupRef, _compose_rows
 from ._search import generating_sequence, search_morphisms
@@ -61,17 +62,21 @@ def _chain_images(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[
     Refuses past the cap (_aut_chain). Vector t gives the transversal of
     A_{t+1} in A_t, u_q = S[i] after u_p for q -> (i, p), and each automorphism
     is u_0 u_1 ... u_{d-1} in one way: one composition of image arrays apiece.
+    Each level composes its transversal's u with every e listed so far,
+    (u after e)[x] = u[e[x]], by one itemgetter(*e) per e; u after id = u.
     """
     strong, vectors = _aut_chain(g, cap)
     ident = tuple(range(g.order))
     autos = [ident]
+    # every gather has n >= 3 indices (Aut G > 1), so returns a tuple, as in core._compose_rows
     for orbit in reversed(vectors):
         transversal = {}
         for q, link in orbit.items():
-            transversal[q] = ident if link is None else tuple(
-                map(strong[link[0]].__getitem__, transversal[link[1]]))
-        autos += [tuple(map(u.__getitem__, e))
-                  for u in list(transversal.values())[1:] for e in autos]
+            transversal[q] = ident if link is None else (
+                itemgetter(*transversal[link[1]])(strong[link[0]]))
+        new = list(transversal.values())[1:]
+        autos += new if len(autos) == 1 else [
+            get(u) for e in autos for get in [itemgetter(*e)] for u in new]
     autos.sort()
     return strong, autos
 

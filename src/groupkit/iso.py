@@ -114,7 +114,7 @@ def _basic_pool(order: int):
                     yield CatalogName("semidirect-cyclic", (m, n, i), f"Z{m} : Z{n} [r^{i}]")
 
 
-def _spectrum(name: CatalogName) -> dict[int, int]:
+def _spectrum(name: CatalogName) -> Counter:
     """The order spectrum of a name from _basic_pool, in closed form.
 
     Each basic name is Z_m x| Z_n with s acting by r -> r^i: cyclic is
@@ -122,17 +122,26 @@ def _spectrum(name: CatalogName) -> dict[int, int]:
     has powers (a, t)^j = (a * (1 + u + ... + u^(j-1)), j*t) with u = i^t
     mod m. Its H-part is trivial exactly when q = n / gcd(n, t) divides j, and
     (a, t)^q = (a*S, 0) with S = 1 + u + ... + u^(q-1), whose order in Z_m is
-    m / gcd(m, a*S). So (a, t) has order q * m / gcd(m, a*S).
+    m / gcd(m, a*S). So (a, t) has order q times the order of a*S in Z_m.
+
+    With g = gcd(m, S), a -> a*S is a homomorphism of Z_m onto its subgroup
+    of multiples of g, cyclic of order m/g, with a kernel of g elements; so it
+    hits each multiple exactly g times. That subgroup has phi(e) elements of
+    order e for each e dividing m/g, so g*phi(e) elements (a, t) of order q*e.
     """
     m, n, i = name.params if name.kind == "semidirect-cyclic" else (
         name.params[0], 1 if name.kind == "cyclic" else 2, -1)
-    spec: dict[int, int] = {}
+    phi = {1: 1}  # divisor e of m -> phi(e), one prime power of m at a time
+    for p, k in factorize(m):
+        phi = {e * p**j: f * (p - 1) * p**(j - 1) if j else f
+               for e, f in phi.items() for j in range(k + 1)}
+    spec: Counter = Counter()
     for t in range(n):
-        q = n // gcd(n, t)
-        s = sum(pow(i, t * j, m) for j in range(q))
-        for a in range(m):
-            d = q * m // gcd(m, a * s)
-            spec[d] = spec.get(d, 0) + 1
+        q, u, s, power = n // gcd(n, t), pow(i, t, m), 0, 1
+        for _ in range(q):
+            s, power = s + power, power * u % m
+        g = gcd(m, s)
+        spec.update({q * e: g * f for e, f in phi.items() if m // g % e == 0})
     return spec
 
 

@@ -117,11 +117,13 @@ class TestAutGroup:
                 assert ag.elements[ag.table.mul[i][j]].image == composed
 
     @pytest.mark.parametrize("expr", [
-        "Z1", "Z2", "Z256", "D16", "Z8 x Z2 x Z2", "Hol 7", "Hol 16", "D12", "Z2 x Z2 x Z2",
-        "Z2 x D4", "Z8 : Z2 [r^5]",
+        "Z1", "Z2", "Z3", "Z256", "D16", "Z8 x Z2 x Z2", "Hol 7", "Hol 16", "D12",
+        "Z2 x Z2 x Z2", "Z2 x D4", "Z8 : Z2 [r^5]",
     ])
     def test_table_equals_full_image_composition(self, expr):
         ag = aut_group(parse_and_eval(expr))
+        oracle = groupkit._search.search_morphisms(ag.base, ag.base, bijective=True)
+        assert [a.image for a in ag.elements] == oracle
         index_of = {a.image: i for i, a in enumerate(ag.elements)}
         mul = tuple(tuple(index_of[tuple(a.image[x] for x in b.image)] for b in ag.elements)
                     for a in ag.elements)

@@ -467,8 +467,8 @@ def test_identify_matches_the_reference_walk():
 
 
 def test_basic_spectra_are_closed_form(monkeypatch):
-    names = [name for order in range(1, 200) for name in _basic_pool(order)]
-    assert len(names) == 774
+    names = [name for order in range(1, 401) for name in _basic_pool(order)]
+    assert len(names) == 1076
 
     def refuse(*args, **kwargs):
         raise AssertionError("_spectrum built a table")

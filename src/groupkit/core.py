@@ -124,8 +124,8 @@ class GroupTable:
         plans: list[tuple[Step, ...]] = []
         while len(have) < n:
             if not gens:
-                x = max(range(n), key=lambda x: (orders[x], -x))
-                size = orders[x]
+                size = max(orders)
+                x = orders.index(size)
             else:
                 # <have, h*x> = <have, x> for h in have, so one trial per coset
                 inside, size = set(have), 0
@@ -192,9 +192,11 @@ def respects_products(src: GroupTable, tgt: GroupTable, img: Sequence[int]) -> b
     if img[src.identity] != tgt.identity:
         return False
     smul, tmul = src.mul, tgt.mul
+    # the loop runs only when src has generators, so order >= 2: every gather
+    # it applies has at least 2 indices and returns a tuple
+    gather_img = itemgetter(*img)
     for a in src.gens_and_plans[0]:
-        ta = tmul[img[a]]
-        if [img[x] for x in smul[a]] != [ta[w] for w in img]:
+        if itemgetter(*smul[a])(img) != gather_img(tmul[img[a]]):
             return False
     return True
 

@@ -32,6 +32,7 @@ from groupkit.core import (
     kernel,
     make_table,
     order_spectrum,
+    respects_products,
     subgroup_generated,
     subgroup_table,
     to_json_dict,
@@ -376,7 +377,10 @@ class TestHomomorphismCheck:
             image = data.draw(st.lists(st.integers(0, tgt.order - 1),
                                        min_size=src.order, max_size=src.order))
         m = Morphism(src, tgt, tuple(image))
-        assert m.is_homomorphism() == _respects_all_pairs(m)
+        expected = _respects_all_pairs(m)
+        assert m.is_homomorphism() == expected
+        # search_morphisms passes its image as a list
+        assert respects_products(src, tgt, image) == expected
 
 
 _PLAN_POOL = _groups_pool() + [

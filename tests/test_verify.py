@@ -69,6 +69,26 @@ class TestIndividualChecks:
         assert all(r.status == "pass" for r in reports)
         assert any(r.claim_id == "thm6.6.m=5.n=4" for r in reports)
 
+    def test_action_equivalence_builds_only_classes_with_a_second_member(self, monkeypatch):
+        real, builds = groupkit.verify.semidirect, []
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groupkit.verify, "semidirect", counting)
+        reports = check_action_equivalence(max_m=12, max_n=6)
+        assert len(reports) == 72
+        assert len(builds) == 20
+
+    def test_action_equivalence_compares_every_class_with_a_second_member(self, monkeypatch):
+        monkeypatch.setattr(groupkit.verify, "are_isomorphic", lambda a, b: None)
+        reports = check_action_equivalence(max_m=12, max_n=6)
+        failed = {r.claim_id for r in reports if r.status == "fail"}
+        assert failed == {f"thm6.6.m={m}.n={n}" for m, n in
+                          ((5, 4), (7, 3), (7, 6), (9, 3), (9, 6), (10, 4), (11, 5))}
+        assert sum(r.status == "pass" for r in reports) == 65
+
     def test_characteristic_theorems_pass(self):
         reports = check_characteristic_theorems(max_order=20)
         assert all(r.status == "pass" for r in reports)

@@ -115,11 +115,8 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     generators of G, which fix an automorphism; so lift is s's row of the
     table, every entry in range. Composition of automorphisms is a group
     operation and <S> is Aut G (_aut_chain), so _compose_rows builds every
-    row from the lifts.
-
-    The table skips make_table's scan: row 0 is the identity's, and row i
-    lists a_i a_j as a_j runs over Aut G, a permutation of 0..N-1, so a_i's
-    inverse is where row i holds 0.
+    row from the lifts. The table skips make_table's scan: row 0 is the
+    identity's.
     """
     strong, images = _chain_images(g, cap)
     gens = generating_sequence(g)
@@ -127,8 +124,7 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     lifts = [[index_of[tuple(map(s.__getitem__, key))] for key in index_of] for s in strong]
     rows = _compose_rows(len(images), 0, lifts)
     autos = [Morphism(g, g, img) for img in images]
-    table = GroupTable(len(rows), rows, 0, tuple(row.index(0) for row in rows),
-                       tuple(_aut_names(g, autos)))
+    table = GroupTable(len(rows), rows, 0, tuple(_aut_names(g, autos)))
     return AutGroup(g, tuple(autos), table)
 
 

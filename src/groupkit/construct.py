@@ -114,7 +114,7 @@ def cyclic(n: int, gen: str = "r", size_cap: int = DEFAULT_SIZE_CAP) -> GroupTab
     cells = tuple(range(n)) * 2
     mul = tuple(cells[a:a + n] for a in range(n))
     names = ["e", gen][:n] + [f"{gen}^{i}" for i in range(2, n)]
-    return GroupTable(n, mul, 0, tuple(-x % n for x in range(n)), tuple(names))
+    return GroupTable(n, mul, 0, tuple(names))
 
 
 def _pair_names(k: GroupTable, h: GroupTable) -> tuple[str, ...]:
@@ -140,8 +140,7 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
     sequences of K and H, are computed from the definition, every entry in
     range(order); they generate the product, as (k, h) = (k, e_H)(e_K, h),
     and _compose_rows builds the other rows from them. The identity is
-    (e_K, e_H), and (k, h)^-1 is (h^-1(k^-1), h^-1), as
-    (k, h)(h^-1(k^-1), h^-1) = (k * k^-1, h * h^-1).
+    (e_K, e_H).
     """
     if action.k_group != k or action.h_group != h:
         raise ValueError("action does not match the given K and H")
@@ -155,13 +154,9 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
                 for x in k.gens_and_plans[0]]
     gen_rows += [[yk * no_h + yh for yk in action.maps[y].image for yh in h.mul[y]]
                  for y in h.gens_and_plans[0]]
-    inv = [0] * order
-    for y, y_inv in enumerate(h.inv):  # the inverses (k, y)^-1 for every k
-        acts = action.maps[y_inv].image
-        inv[y::no_h] = [acts[x] * no_h + y_inv for x in k.inv]
     identity = k.identity * no_h + h.identity
     return GroupTable(order, _compose_rows(order, identity, gen_rows),
-                      identity, tuple(inv), _pair_names(k, h))
+                      identity, _pair_names(k, h))
 
 
 def direct_product(k: GroupTable, h: GroupTable,

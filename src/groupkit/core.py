@@ -27,13 +27,13 @@ class GroupTable:
     honours the stored identity field, so relabeled tables stay valid.
     elem_names are display-only and never affect semantics.
 
-    Derived data (element orders, root counts, class sizes, generating
-    sequence, extension plans) is computed on first use and cached on the
-    instance; it is not a field, so it never affects eq, hash or repr. The
-    orders cost O(n) products up to a log log n factor, and each step of the
-    generating sequence one coset walk of O(|<H, y>| * (d + 1)) products per
-    right coset of the subgroup H grown so far, then one closure walk that
-    stops at the size the winning trial found. The queries below
+    Derived data (element orders, inverses, root counts, class sizes,
+    generating sequence, extension plans) is computed on first use and cached
+    on the instance; it is not a field, so it never affects eq, hash or repr.
+    The orders and inverses cost O(n) products up to a log log n factor, and
+    each step of the generating sequence one coset walk of
+    O(|<H, y>| * (d + 1)) products per right coset of the subgroup H grown so
+    far, then one closure walk that stops at the size the winning trial found. The queries below
     (is_abelian, center, is_normal, subgroup checks) test generators only,
     so none of them reads all n^2 products.
     """
@@ -41,23 +41,33 @@ class GroupTable:
     order: int
     mul: tuple[tuple[int, ...], ...]
     identity: int
-    inv: tuple[int, ...]
     elem_names: tuple[str, ...]
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
-        """orders[x] is the order of element x; ValueError when the powers of
-        some element miss the identity for |G| steps, which no group allows.
+        """orders[x] is the order of element x (see _orders_and_inverses)."""
+        return self._orders_and_inverses[0]
+
+    @cached_property
+    def inv(self) -> tuple[int, ...]:
+        """inv[x] is the inverse of element x (see _orders_and_inverses)."""
+        return self._orders_and_inverses[1]
+
+    @cached_property
+    def _orders_and_inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(orders, inv); ValueError when the powers of some element miss the
+        identity for |G| steps, which no group allows.
 
         One walk per cyclic subgroup: for each x whose order is still unknown,
         the powers x, x^2, ..., x^k = e list <x>, and in a group
-        ord(x^j) = k / gcd(j, k), so the walk sets the order of every power.
-        It sets at least the phi(k) generators of <x> for the first time (a
-        generator seen before would have listed <x> already), so the walks
-        take at most n * max k/phi(k) products.
+        ord(x^j) = k / gcd(j, k) and (x^j)^-1 = x^(k-j), so the walk sets the
+        order and the inverse of every power. It sets at least the phi(k)
+        generators of <x> for the first time (a generator seen before would
+        have listed <x> already), so the walks take at most n * max k/phi(k)
+        products.
         """
         n, mul, e = self.order, self.mul, self.identity
-        orders = [0] * n
+        orders, inv = [0] * n, [0] * n
         for x in range(n):
             if orders[x]:
                 continue
@@ -71,7 +81,8 @@ class GroupTable:
             k = len(powers)
             for j, p in enumerate(powers, 1):
                 orders[p] = k // gcd(j, k)
-        return tuple(orders)
+                inv[p] = powers[k - j - 1]
+        return tuple(orders), tuple(inv)
 
     @cached_property
     def _root_key(self) -> tuple[tuple[int, int], ...]:
@@ -260,14 +271,27 @@ class AxiomVerdict:
 TableCandidate = Union[GroupTable, Sequence[Sequence[int]]]
 
 
-def _identity_and_inverses(mul: Sequence[Sequence[int]], claimed: int | None = None,
-                           claimed_inv: Sequence[int] | None = None):
-    """(identity, inv) of a square array of tuple rows, or the AxiomVerdict that fails.
+def _bad_cell(mul: Sequence[Sequence[int]], n: int) -> tuple[int, int] | None:
+    """The first cell (a, b) in row-major order whose entry is not an element
+    index, an int in 0..n-1 that is not a bool, or None when every one is."""
+    cells = chain.from_iterable
+    if set(map(type, cells(mul))) <= {int} and set(range(n)).issuperset(cells(mul)):
+        return None
+    for a, row in enumerate(mul):  # a bad cell, or only an int subclass
+        for b, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                return a, b
+    return None
+
+
+def _identity_and_inverses(mul: Sequence[Sequence[int]], claimed: int | None = None):
+    """The identity of a square array of tuple rows in which every element
+    has a two-sided inverse, or the AxiomVerdict that fails.
 
     The identity is found by trying each row in turn. A table has at most
     one, as e = e*e' = e' for two of them, so a claimed identity holds only
-    when it equals the one found. Each inverse is the claimed one, checked,
-    else the lowest found.
+    when it equals the one found. Each row is then searched for a two-sided
+    inverse, past any cell that holds the identity on one side only.
     """
     n = len(mul)
     identity = next((e for e in range(n)
@@ -277,30 +301,22 @@ def _identity_and_inverses(mul: Sequence[Sequence[int]], claimed: int | None = N
     if claimed is not None and claimed != identity:
         return AxiomVerdict(False, "identity", (claimed,),
                             f"claimed identity {claimed!r} is not {identity}, the identity")
-    inv = []
     for x, row in enumerate(mul):
-        if claimed_inv is not None:
-            y = claimed_inv[x]
-            if not 0 <= y < n or row[y] != identity or mul[y][x] != identity:
-                return AxiomVerdict(False, "inverses", (x, y),
-                                    f"claimed inverse {y} of {x} fails")
-        else:
-            try:
-                y = row.index(identity)
-                while mul[y][x] != identity:
-                    y = row.index(identity, y + 1)
-            except ValueError:
-                return AxiomVerdict(False, "inverses", (x,),
-                                    f"element {x} has no two-sided inverse")
-        inv.append(y)
-    return identity, tuple(inv)
+        try:
+            y = row.index(identity)
+            while mul[y][x] != identity:
+                y = row.index(identity, y + 1)
+        except ValueError:
+            return AxiomVerdict(False, "inverses", (x,),
+                                f"element {x} has no two-sided inverse")
+    return identity
 
 
 def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) -> AxiomVerdict:
     """Check closure, identity, inverses and associativity on a raw table.
 
-    Accepts a GroupTable (its claimed identity/inv are verified) or a bare
-    mul array with an optional claimed identity. Returns the first violated
+    Accepts a GroupTable (its claimed identity is verified) or a bare mul
+    array with an optional claimed identity. Returns the first violated
     axiom with a concrete witness; malformed dimensions are reported
     distinctly from axiom failures.
 
@@ -317,31 +333,26 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
     """
     # rows as tuples, which compare equal to the tuples itemgetter returns
     if isinstance(candidate, GroupTable):
-        mul, n = tuple(map(tuple, candidate.mul)), candidate.order
-        identity, claimed_inv = candidate.identity, candidate.inv
-        for got, part in ((len(mul), "mul has {} rows"), (len(claimed_inv), "inv has {} entries")):
-            if got != n:
-                return AxiomVerdict(False, "dimensions", (got,),
-                                    f"order says {n} but " + part.format(got))
+        mul, n, identity = tuple(map(tuple, candidate.mul)), candidate.order, candidate.identity
+        if len(mul) != n:
+            return AxiomVerdict(False, "dimensions", (len(mul),),
+                                f"order says {n} but mul has {len(mul)} rows")
     else:
-        mul, n, claimed_inv = tuple(map(tuple, candidate)), len(candidate), None
+        mul, n = tuple(map(tuple, candidate)), len(candidate)
     for i, row in enumerate(mul):
         if len(row) != n:
             return AxiomVerdict(False, "dimensions", (i,),
                                 f"row {i} has length {len(row)}, expected {n}")
-    cells = chain.from_iterable
-    if not (set(map(type, cells(mul))) <= {int} and set(range(n)).issuperset(cells(mul))):
-        for a, row in enumerate(mul):  # a bad cell, or only an int subclass
-            for b, v in enumerate(row):
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                    return AxiomVerdict(False, "closure", (a, b),
-                                        f"mul[{a}][{b}] = {v!r} is not an element index")
+    if bad := _bad_cell(mul, n):
+        a, b = bad
+        return AxiomVerdict(False, "closure", bad,
+                            f"mul[{a}][{b}] = {mul[a][b]!r} is not an element index")
 
-    found = _identity_and_inverses(mul, identity, claimed_inv)
+    found = _identity_and_inverses(mul, identity)
     if isinstance(found, AxiomVerdict):
         return found
 
-    have, kept = {found[0]}, []
+    have, kept = {found}, []
     for b in range(n):
         if b not in have:
             have = _coset_closure(mul, have, kept, b)
@@ -356,27 +367,29 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
 
 
 def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> GroupTable:
-    """Build a GroupTable from a mul array a caller supplies, deriving identity and inverses.
+    """Build a GroupTable from a mul array a caller supplies, deriving its identity.
 
-    Checks that every entry lies in 0..n-1 and that names, when given, has n
-    entries, and finds the two-sided identity and each two-sided inverse;
+    Checks that every entry is an element index (an int in 0..n-1, not a
+    bool) and that names, when given, has n entries, finds the two-sided
+    identity and checks that each element has a two-sided inverse;
     verify_group_axioms is the full check. The package's constructors build
-    from checked parts and derive the identity and inverses without this scan.
+    from checked parts and skip this scan.
     """
     n = len(mul)
     rows = tuple(tuple(r) for r in mul)
     if any(len(r) != n for r in rows):
         raise ValueError("mul array is not square")
-    if not set(range(n)).issuperset(chain.from_iterable(rows)):
-        raise ValueError(f"mul array has an entry outside 0..{n - 1}")
-    found = _identity_and_inverses(rows)
-    if isinstance(found, AxiomVerdict):
-        raise ValueError(found.detail)
-    identity, inv = found
+    if bad := _bad_cell(rows, n):
+        a, b = bad
+        raise ValueError(f"mul[{a}][{b}] = {rows[a][b]!r} lies outside "
+                         f"the element indices 0..{n - 1}")
+    identity = _identity_and_inverses(rows)
+    if isinstance(identity, AxiomVerdict):
+        raise ValueError(identity.detail)
     names = tuple(f"g{i}" for i in range(n)) if names is None else tuple(names)
     if len(names) != n:
         raise ValueError(f"{len(names)} names given for {n} elements")
-    return GroupTable(n, rows, identity, inv, names)
+    return GroupTable(n, rows, identity, names)
 
 
 def element_order(g: GroupTable, x: int) -> int:
@@ -543,17 +556,15 @@ def subgroup_table(g: GroupTable, members: Iterable[int]) -> tuple[GroupTable, t
 
     Returns (table, embed) where embed maps new indices to parent indices;
     the identity lands at new index 0. SubgroupRef checks that the members
-    are closed under products, so every product and inverse (a power, in a
-    finite group) of a member is one, and `back` renames it: the identity is
-    0 and inv[i] = back[g.inv[embed[i]]].
+    are closed under products, so every product of members is one, and
+    `back` renames it.
     """
     ref = SubgroupRef(g, tuple(members))
     embed = [g.identity] + [x for x in ref.members if x != g.identity]
     back = {x: i for i, x in enumerate(embed)}
     mul = tuple(tuple(back[g.mul[a][b]] for b in embed) for a in embed)
     names = tuple(g.elem_names[x] for x in embed)
-    inv = tuple(back[g.inv[x]] for x in embed)
-    return GroupTable(len(embed), mul, 0, inv, names), tuple(embed)
+    return GroupTable(len(embed), mul, 0, names), tuple(embed)
 
 
 def kernel(m: Morphism) -> SubgroupRef:

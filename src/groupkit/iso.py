@@ -49,40 +49,27 @@ def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:
 
 
 def abelian_invariants(g: GroupTable) -> list[int]:
-    """Invariant factors d_1 | d_2 | ... | d_k of an abelian group."""
-    if not is_abelian(g):
-        raise ValueError("abelian invariants require an abelian group")
-    return _invariant_factors(g)
+    """Invariant factors d_1 | d_2 | ... | d_k of an abelian group, read from
+    its element orders.
 
+    G is the product of its p-parts, each Z_{p^e_1} x ... x Z_{p^e_k} with
+    e ascending, and every x with x^(p^j) = e lies in the p-part, whose i-th
+    coordinate holds p^min(e_i, j) such elements. So p^(sum_i min(e_i, j))
+    elements of G have order dividing p^j. That exponent rises from j - 1 to
+    j by r_j, the number of e_i >= j, and r_j - r_{j+1} of the e_i equal j.
 
-def _abelian_p_exponents(g: GroupTable) -> dict[int, list[int]]:
-    """For abelian G, each prime p of |G| with the ascending e_i of its p-part.
-
-    G is the product of its p-parts, and every x with x^(p^j) = e lies in the
-    p-part Z_{p^e_1} x ... x Z_{p^e_k}, whose i-th coordinate holds
-    p^min(e_i, j) such elements. So p^(sum_i min(e_i, j)) elements of G have
-    order dividing p^j. That exponent rises from j - 1 to j by r_j, the number
-    of e_i >= j, and r_j - r_{j+1} of the e_i equal j. G must be abelian.
-    """
-    exponents = {}
-    for p, m in factorize(g.order):
-        sums = [round(log(sum(1 for d in g.orders if p**j % d == 0), p)) for j in range(m + 1)]
-        r = [b - a for a, b in zip(sums, sums[1:])] + [0]  # r[j - 1] = r_j
-        exponents[p] = [j for j in range(1, m + 1) for _ in range(r[j - 1] - r[j])]
-    return exponents
-
-
-def _invariant_factors(g: GroupTable) -> list[int]:
-    """abelian_invariants of G, which the caller has checked to be abelian.
-
-    Read from the element orders: G is the product of its p-parts, each
-    Z_{p^e_1} x ... x Z_{p^e_j} with e ascending (_abelian_p_exponents).
     Align every prime's exponents from the largest, padding with zeros, and
     set d_t = prod_p p^(e_p,t). Each prime's exponents ascend, so
     d_t | d_{t+1}; Z_{d_t} = prod_p Z_{p^(e_p,t)} by the Chinese remainder
     theorem, so Z_{d_1} x ... x Z_{d_k} is G.
     """
-    exponents = _abelian_p_exponents(g)
+    if not is_abelian(g):
+        raise ValueError("abelian invariants require an abelian group")
+    exponents = {}
+    for p, m in factorize(g.order):
+        sums = [round(log(sum(1 for d in g.orders if p**j % d == 0), p)) for j in range(m + 1)]
+        r = [b - a for a, b in zip(sums, sums[1:])] + [0]  # r[j - 1] = r_j
+        exponents[p] = [j for j in range(1, m + 1) for _ in range(r[j - 1] - r[j])]
     k = max(map(len, exponents.values()), default=0)
     return [prod(p ** es[t] for p, es in exponents.items() if -t <= len(es))
             for t in range(-k, 0)]
@@ -186,20 +173,24 @@ def identify(g: GroupTable) -> CatalogName:
     smallest (m, n, i) wins), otherwise unidentified. Matching is by
     are_isomorphic, so the answer only depends on the isomorphism type.
 
-    An abelian group is named from its element orders (abelian_invariants),
-    with one commutativity scan and no search. For the rest, one loop walks
-    the candidates in that order: the dihedral and semidirect names whose
-    closed-form spectrum (_spectrum) is G's, and between them the factor
-    multisets _factorings lists for G's spectrum, each once, pruned by the
-    counts N_k of its prefixes. Only then is a table built, by parse_and_eval
-    of the display the candidate would return, and searched; so the name is
-    the text of the group that matched. Neither skip changes the answer.
+    An abelian group is named from its element orders by abelian_invariants,
+    whose O(d^2) commutativity test is the only one identify runs, with no
+    search. For the rest, one loop walks the candidates in that order: the
+    dihedral and semidirect names whose closed-form spectrum (_spectrum) is
+    G's, and between them the factor multisets _factorings lists for G's
+    spectrum, each once, pruned by the counts N_k of its prefixes. Only then
+    is a table built, by parse_and_eval of the display the candidate would
+    return, and searched; so the name is the text of the group that matched.
+    Neither skip changes the answer.
     """
     n = g.order
     if max(g.orders) == n:
         return CatalogName("cyclic", (n,), f"Z{n}")
-    if is_abelian(g):
-        invs = tuple(_invariant_factors(g))
+    try:
+        invs = tuple(abelian_invariants(g))
+    except ValueError:  # G is not abelian
+        pass
+    else:
         return CatalogName("abelian-product", invs, " x ".join(f"Z{d}" for d in invs))
     basics, spec = list(_basic_pool(n)), order_spectrum(g)
 

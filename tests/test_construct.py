@@ -462,7 +462,8 @@ def test_searches_leave_no_reference_cycles():
 def test_built_tables_and_actions_pass_the_full_checks(monkeypatch):
     """Tables and actions built from checked parts, without make_table or
     Action's check, against both: each table equals make_table of its rows
-    and passes verify_group_axioms, and each action passes Action(...)."""
+    and passes verify_group_axioms, its derived inverses are two-sided, and
+    each action passes Action(...)."""
     built_actions = []
     trusted = groupkit.construct._trusted_action
 
@@ -491,6 +492,7 @@ def test_built_tables_and_actions_pass_the_full_checks(monkeypatch):
     for t in tables:
         assert t == make_table(t.mul, t.elem_names)
         assert verify_group_axioms(t).ok
+        assert all(t.mul[x][y] == t.identity == t.mul[y][x] for x, y in enumerate(t.inv))
     assert len(tables) > 1000
     assert {a.h_group.order for a in built_actions} >= {1, 2, 4, 6, 8}
     for a in built_actions:

@@ -132,8 +132,30 @@ class TestMakeTable:
             make_table([[0, 1], [1, 1]])
 
     def test_inverse_is_the_lowest_two_sided_one(self):
-        # row 2 holds the identity at 1 and 2, but only 2 * 2 = e on both sides
-        assert make_table([[0, 1, 2], [1, 0, 2], [2, 0, 0]]).inv == (0, 1, 2)
+        # row 2 holds the identity first at 1, but 1 * 2 = 2, so that cell is
+        # one-sided; the check goes on to 2 * 2 = e, a two-sided inverse
+        g = make_table([[0, 1, 2], [1, 0, 2], [2, 0, 0]])
+        assert g.mul[2][1] == g.identity != g.mul[1][2]
+        assert g.mul[2][2] == g.identity
+
+    @pytest.mark.parametrize("b, cell", [(1, 0.0), (2, 1.0), (2, True)])
+    def test_rejects_cells_that_only_compare_equal_to_an_index(self, b, cell):
+        # each cell equals the index it replaces, so a range test alone lets it through
+        mul = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+        assert mul[2][b] == cell
+        mul[2][b] = cell
+        with pytest.raises(ValueError, match=rf"^mul\[2\]\[{b}\] = {cell!r} lies outside"):
+            make_table(mul)
+
+    def test_names_the_first_bad_cell(self):
+        with pytest.raises(ValueError, match=r"^mul\[0\]\[1\] = 'x' lies outside"):
+            make_table([[0, "x"], [1, 9]])
+
+    def test_accepts_int_subclass_cells(self):
+        class IntLike(int):
+            pass
+        z2 = make_table([[IntLike(0), IntLike(1)], [IntLike(1), IntLike(0)]])
+        assert z2.identity == 0 and z2.inv == (0, 1)
 
     def test_rejects_entries_outside_the_index_range(self):
         with pytest.raises(ValueError, match="outside"):
@@ -393,8 +415,8 @@ _PLAN_POOL = _groups_pool() + [
 class TestDerivedData:
     def test_cached_data_leaves_eq_hash_and_repr_alone(self):
         a, b = dihedral(4), dihedral(4)
-        assert a.orders and a.gens_and_plans
-        assert "orders" in vars(a) and "orders" not in vars(b)
+        assert a.orders and a.inv and a.gens_and_plans
+        assert {"orders", "inv"} <= set(vars(a)) and not {"orders", "inv"} & set(vars(b))
         assert a == b and b == a
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)
@@ -496,15 +518,20 @@ def _center_by_scan(g: GroupTable) -> tuple[int, ...]:
     return tuple(a for a in range(g.order) if all(mul[a][b] == mul[b][a] for b in range(g.order)))
 
 
+def _inverses_by_scan(g: GroupTable) -> tuple[int, ...]:
+    """Where each row holds the identity: in a group, the one two-sided inverse."""
+    return tuple(row.index(g.identity) for row in g.mul)
+
+
 def _normal_by_scan(g: GroupTable, members) -> bool:
-    mem, mul, inv = set(members), g.mul, g.inv
+    mem, mul, inv = set(members), g.mul, _inverses_by_scan(g)
     return all(mul[mul[x][a]][inv[x]] in mem for x in range(g.order) for a in members)
 
 
 def _closed_by_scan(g: GroupTable, members) -> bool:
-    mem = set(members)
+    mem, inv = set(members), _inverses_by_scan(g)
     return g.identity in mem and all(
-        g.inv[a] in mem and all(g.mul[a][b] in mem for b in mem) for a in mem)
+        inv[a] in mem and all(g.mul[a][b] in mem for b in mem) for a in mem)
 
 
 def _root_counts_by_scan(g: GroupTable) -> Counter:
@@ -513,7 +540,7 @@ def _root_counts_by_scan(g: GroupTable) -> Counter:
 
 
 def _class_sizes_by_scan(g: GroupTable) -> list[int]:
-    mul, inv = g.mul, g.inv
+    mul, inv = g.mul, _inverses_by_scan(g)
     return [len({mul[mul[h][x]][inv[h]] for h in range(g.order)}) for x in range(g.order)]
 
 
@@ -534,12 +561,13 @@ _SHORTCUT_POOL = _PLAN_POOL + [
 
 
 class TestGeneratorShortcuts:
-    """The generator-only invariants, the root counts, the class sizes and subgroup checks
-    against full scans."""
+    """The generator-only invariants, the inverses, the root counts, the class sizes and
+    subgroup checks against full scans."""
 
     @pytest.mark.parametrize("g", _SHORTCUT_POOL, ids=repr)
     def test_invariants_match_full_scans(self, g):
         assert g.orders == tuple(_order_by_powers(g, x) for x in range(g.order))
+        assert g.inv == _inverses_by_scan(g)
         assert is_abelian(g) == _abelian_by_scan(g)
         assert center(g).members == _center_by_scan(g)
         assert _root_counts(g) == _root_counts_by_scan(g)

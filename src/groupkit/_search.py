@@ -39,10 +39,9 @@ def search_morphisms(
     proves none: a homomorphism that keeps every element's order has a
     trivial kernel, so it is injective anyway, and respects_products at the
     leaf still decides which candidates are returned. Both tables must be
-    groups; that check relies on it, and verify_group_axioms checks it for
-    tables from make_table. `fixed` gives the images of the first generators,
-    each of an order its generator allows. Sorted lexicographically by image
-    array unless first_only.
+    groups (see GroupTable); that check relies on it. `fixed` gives the
+    images of the first generators, each of an order its generator allows.
+    Sorted lexicographically by image array unless first_only.
     """
     n, m = src.order, tgt.order
     if bijective and n != m:

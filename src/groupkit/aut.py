@@ -115,7 +115,7 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     generators of G, which fix an automorphism; so lift is s's row of the
     table, every entry in range. Composition of automorphisms is a group
     operation and <S> is Aut G (_aut_chain), so _compose_rows builds every
-    row from the lifts. The table skips make_table's scan: row 0 is the
+    row from the lifts. The table skips make_table's check: row 0 is the
     identity's.
     """
     strong, images = _chain_images(g, cap)

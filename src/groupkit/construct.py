@@ -25,6 +25,7 @@ from .core import (
     subgroup_table,
 )
 from ._search import search_morphisms
+from .numth import euler_phi
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class Action:
     finite group is a product of its generators (inverses are positive
     powers), so that set is all of H. The actions this module assembles from
     maps that are automorphisms by construction (trivial_action, actions,
-    holomorph) skip the check (_trusted_action).
+    holomorph, recognize_split) skip the check (_trusted_action).
     """
 
     h_group: GroupTable
@@ -105,12 +106,17 @@ def power_action(h_group: GroupTable, k_group: GroupTable, i: int) -> Action:
         for t in range(h_group.order)))
 
 
+def _check_size(order: int, size_cap: int) -> None:
+    """SizeCapError when a table of `order` elements would pass size_cap."""
+    if order > size_cap:
+        raise SizeCapError(f"order {order} exceeds size cap {size_cap}")
+
+
 def cyclic(n: int, gen: str = "r", size_cap: int = DEFAULT_SIZE_CAP) -> GroupTable:
     """Z_n with elements 0..n-1 named e, gen, gen^2, ..."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
-    if n > size_cap:
-        raise SizeCapError(f"order {n} exceeds size cap {size_cap}")
+    _check_size(n, size_cap)
     cells = tuple(range(n)) * 2
     mul = tuple(cells[a:a + n] for a in range(n))
     names = ["e", gen][:n] + [f"{gen}^{i}" for i in range(2, n)]
@@ -135,7 +141,7 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
     """K x| H with (k1,h1)(k2,h2) = (k1 * h1(k2), h1*h2), pair encoded.
 
     K and H are groups and Action holds a homomorphism H -> Aut(K), so the
-    product is a group, built without make_table's scan. Only the rows of
+    product is a group, built without make_table's check. Only the rows of
     the generators (x, e_H) and (e_K, y), for x and y in the generating
     sequences of K and H, are computed from the definition, every entry in
     range(order); they generate the product, as (k, h) = (k, e_H)(e_K, h),
@@ -145,8 +151,7 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
     if action.k_group != k or action.h_group != h:
         raise ValueError("action does not match the given K and H")
     order = k.order * h.order
-    if order > size_cap:
-        raise SizeCapError(f"order {order} exceeds size cap {size_cap}")
+    _check_size(order, size_cap)
     no_h = h.order
     # the rows of (x, e_H) and (e_K, y): (x, e_H)(k2, h2) = (x*k2, h2) and
     # (e_K, y)(k2, h2) = (y(k2), y*h2), with (k2, h2) at k2*|H| + h2
@@ -226,7 +231,9 @@ def action_classes(h: GroupTable, k: GroupTable,
 
 def holomorph(n: int, size_cap: int = DEFAULT_SIZE_CAP,
               aut_cap: int = _aut.DEFAULT_AUT_CAP) -> GroupTable:
-    """Z_n x| Aut(Z_n) under the identity action, order n * phi(n)."""
+    """Z_n x| Aut(Z_n) under the identity action, order n * phi(n), which
+    is checked against size_cap before Z_n or Aut(Z_n) is built."""
+    _check_size(n * euler_phi(n), size_cap)
     k = cyclic(n, size_cap=size_cap)
     ag = _aut.aut_group(k, cap=aut_cap)
     # elements[i] o elements[j] = elements[table[i][j]], as aut_group builds the table
@@ -240,6 +247,11 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
     index order, pruning branches whose partial subgroup cannot sit inside a
     complement. On success returns the conjugation action of H on K and a
     verified isomorphism from the reconstructed semidirect product onto G.
+
+    G is a group (see GroupTable) and K is normal, so x -> h*x*h^-1 maps K
+    onto K as an automorphism, and the map for h*h' is the map for h' followed
+    by the map for h. The maps, read in the subgroup tables of K and H, are
+    therefore an action by construction (_trusted_action).
     """
     if k.parent != g:
         raise ValueError("subgroup belongs to a different parent group")
@@ -280,7 +292,7 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
         maps.append(Morphism(k_table, k_table,
                              tuple(k_back[mul[mul[hh][k_embed[x]]][hi]]
                                    for x in range(k_table.order))))
-    action = Action(h_table, k_table, tuple(maps))
+    action = _trusted_action(h_table, k_table, tuple(maps))
     product = semidirect(k_table, h_table, action, size_cap=max(n, DEFAULT_SIZE_CAP))
     iso_img = tuple(mul[k_embed[p // h_table.order]][h_embed[p % h_table.order]]
                     for p in range(product.order))

@@ -27,6 +27,10 @@ class GroupTable:
     honours the stored identity field, so relabeled tables stay valid.
     elem_names are display-only and never affect semantics.
 
+    A table from make_table, which runs verify_group_axioms, or from a
+    constructor in this package is a group; a table built by hand with
+    GroupTable(...) is taken on trust. Everything below assumes a group.
+
     Derived data (element orders, inverses, root counts, class sizes,
     generating sequence, extension plans) is computed on first use and cached
     on the instance; it is not a field, so it never affects eq, hash or repr.
@@ -172,9 +176,9 @@ class Morphism:
     def is_homomorphism(self) -> bool:
         """True when the image array respects products.
 
-        Both tables must be groups (verify_group_axioms checks that for
-        tables from make_table), and the image must be a map: one entry per
-        source element, each in 0..|target|-1. See respects_products.
+        Both tables must be groups (see GroupTable), and the image must be
+        a map: one entry per source element, each in 0..|target|-1. See
+        respects_products.
         """
         return respects_products(self.source, self.target, self.image)
 
@@ -232,15 +236,15 @@ class SubgroupRef:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        mem = tuple(sorted(set(self.members)))
+        g, given = self.parent, tuple(self.members)
+        if bad := _bad_cell((given,), g.order):
+            raise ValueError(f"member {given[bad[1]]!r} is not an element index "
+                             f"0..{g.order - 1}")
+        inside = set(given)
+        mem = tuple(sorted(inside))
         object.__setattr__(self, "members", mem)
-        g = self.parent
-        inside = set(mem)
         if g.identity not in inside:
             raise ValueError("subgroup must contain the identity")
-        for a in (mem[0], mem[-1]):
-            if not 0 <= a < g.order:
-                raise ValueError(f"element index {a} out of range")
         mul = g.mul
         closure, gens = {g.identity}, []
         for b in mem:
@@ -284,34 +288,6 @@ def _bad_cell(mul: Sequence[Sequence[int]], n: int) -> tuple[int, int] | None:
     return None
 
 
-def _identity_and_inverses(mul: Sequence[Sequence[int]], claimed: int | None = None):
-    """The identity of a square array of tuple rows in which every element
-    has a two-sided inverse, or the AxiomVerdict that fails.
-
-    The identity is found by trying each row in turn. A table has at most
-    one, as e = e*e' = e' for two of them, so a claimed identity holds only
-    when it equals the one found. Each row is then searched for a two-sided
-    inverse, past any cell that holds the identity on one side only.
-    """
-    n = len(mul)
-    identity = next((e for e in range(n)
-                     if all(mul[e][x] == x and mul[x][e] == x for x in range(n))), None)
-    if identity is None:
-        return AxiomVerdict(False, "identity", None, "no two-sided identity exists")
-    if claimed is not None and claimed != identity:
-        return AxiomVerdict(False, "identity", (claimed,),
-                            f"claimed identity {claimed!r} is not {identity}, the identity")
-    for x, row in enumerate(mul):
-        try:
-            y = row.index(identity)
-            while mul[y][x] != identity:
-                y = row.index(identity, y + 1)
-        except ValueError:
-            return AxiomVerdict(False, "inverses", (x,),
-                                f"element {x} has no two-sided inverse")
-    return identity
-
-
 def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) -> AxiomVerdict:
     """Check closure, identity, inverses and associativity on a raw table.
 
@@ -319,6 +295,11 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
     array with an optional claimed identity. Returns the first violated
     axiom with a concrete witness; malformed dimensions are reported
     distinctly from axiom failures.
+
+    The identity is found by trying each row in turn. A table has at most
+    one, as e = e*e' = e' for two of them, so a claimed identity holds only
+    when it equals the one found. Each row is then searched for a two-sided
+    inverse, past any cell that holds the identity on one side only.
 
     Associativity is Light's test, O(d*n^2): (a*b)*c = a*(b*c) for all a, c
     and each b kept by a walk over the elements: b is kept when it is not yet
@@ -345,14 +326,25 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
                                 f"row {i} has length {len(row)}, expected {n}")
     if bad := _bad_cell(mul, n):
         a, b = bad
-        return AxiomVerdict(False, "closure", bad,
-                            f"mul[{a}][{b}] = {mul[a][b]!r} is not an element index")
+        return AxiomVerdict(False, "closure", bad, f"mul[{a}][{b}] = {mul[a][b]!r} "
+                            f"lies outside the element indices 0..{n - 1}")
 
-    found = _identity_and_inverses(mul, identity)
-    if isinstance(found, AxiomVerdict):
-        return found
+    e = next((e for e in range(n)
+              if all(mul[e][x] == x and mul[x][e] == x for x in range(n))), None)
+    if e is None:
+        return AxiomVerdict(False, "identity", None, "no two-sided identity exists")
+    if identity is not None and identity != e:
+        return AxiomVerdict(False, "identity", (identity,),
+                            f"claimed identity {identity!r} is not {e}, the identity")
+    for x, row in enumerate(mul):
+        try:
+            y = row.index(e)
+            while mul[y][x] != e:
+                y = row.index(e, y + 1)
+        except ValueError:
+            return AxiomVerdict(False, "inverses", (x,), f"element {x} has no two-sided inverse")
 
-    have, kept = {found}, []
+    have, kept = {e}, []
     for b in range(n):
         if b not in have:
             have = _coset_closure(mul, have, kept, b)
@@ -367,29 +359,21 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
 
 
 def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> GroupTable:
-    """Build a GroupTable from a mul array a caller supplies, deriving its identity.
+    """Build a GroupTable from a mul array a caller supplies, once
+    verify_group_axioms passes it.
 
-    Checks that every entry is an element index (an int in 0..n-1, not a
-    bool) and that names, when given, has n entries, finds the two-sided
-    identity and checks that each element has a two-sided inverse;
-    verify_group_axioms is the full check. The package's constructors build
-    from checked parts and skip this scan.
+    ValueError carries the first failure's detail, or says that names, when
+    given, has not n entries. The identity is the element whose row is
+    0, 1, ..., n-1: in a group x*y = y for one y only when x = e.
     """
-    n = len(mul)
-    rows = tuple(tuple(r) for r in mul)
-    if any(len(r) != n for r in rows):
-        raise ValueError("mul array is not square")
-    if bad := _bad_cell(rows, n):
-        a, b = bad
-        raise ValueError(f"mul[{a}][{b}] = {rows[a][b]!r} lies outside "
-                         f"the element indices 0..{n - 1}")
-    identity = _identity_and_inverses(rows)
-    if isinstance(identity, AxiomVerdict):
-        raise ValueError(identity.detail)
+    rows = tuple(map(tuple, mul))
+    if not (verdict := verify_group_axioms(rows)):
+        raise ValueError(verdict.detail)
+    n = len(rows)
     names = tuple(f"g{i}" for i in range(n)) if names is None else tuple(names)
     if len(names) != n:
         raise ValueError(f"{len(names)} names given for {n} elements")
-    return GroupTable(n, rows, identity, names)
+    return GroupTable(n, rows, rows.index(tuple(range(n))), names)
 
 
 def element_order(g: GroupTable, x: int) -> int:
@@ -519,11 +503,14 @@ def _compose_rows(order: int, identity: int,
 
 
 def subgroup_generated(g: GroupTable, gens: Iterable[int]) -> SubgroupRef:
-    """<gens>, grown one generator at a time by _coset_closure."""
+    """<gens>, grown one generator at a time by _coset_closure; ValueError for
+    a generator that is not an int or is a bool, IndexError for one out of range."""
     gens = list(gens)
-    for x in gens:
-        if not 0 <= x < g.order:
-            raise IndexError(f"generator index {x} out of range")
+    if bad := _bad_cell((gens,), g.order):
+        x = gens[bad[1]]
+        if isinstance(x, bool) or not isinstance(x, int):
+            raise ValueError(f"generator {x!r} is not an element index")
+        raise IndexError(f"generator index {x} out of range")
     closure, used = {g.identity}, []
     for x in gens:
         if x not in closure:

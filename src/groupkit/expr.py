@@ -35,8 +35,9 @@ from math import gcd
 from typing import Iterator, NoReturn, Union
 
 from .construct import (
-    Action, actions, cyclic, dihedral, direct_product, holomorph, power_action, semidirect)
-from .core import GroupTable
+    Action, _check_size, actions, cyclic, dihedral, direct_product, holomorph, power_action,
+    semidirect)
+from .core import DEFAULT_SIZE_CAP, GroupTable
 from .numth import multiplicative_order
 
 
@@ -320,6 +321,7 @@ def _eval(e: GroupExpr, names: Iterator[str]) -> GroupTable:
             table = direct_product(table, _eval(node.right, names))
         else:
             h_table = _eval(node.h_expr, names)
+            _check_size(table.order * h_table.order, DEFAULT_SIZE_CAP)  # before Aut(K) for [#j]
             table = semidirect(table, h_table, _resolve_action(node, table, h_table))
     return table
 

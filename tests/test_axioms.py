@@ -26,6 +26,18 @@ LOOP5 = [
     [4, 3, 1, 2, 0],
 ]
 
+# an order-7 loop: identity 0 and two-sided inverses, but 1*5 = 3 and 5*1 = 2
+# while its first two generators, 1 and 4, commute; not associative
+L7 = [
+    [0, 1, 2, 3, 4, 5, 6],
+    [1, 6, 5, 4, 0, 3, 2],
+    [2, 5, 3, 1, 6, 0, 4],
+    [3, 4, 1, 2, 5, 6, 0],
+    [4, 0, 6, 5, 3, 2, 1],
+    [5, 2, 0, 6, 1, 4, 3],
+    [6, 3, 4, 0, 2, 1, 5],
+]
+
 
 def cubic_is_group(mul) -> bool:
     """The oracle: entries, a two-sided identity, inverses, then all n^3 triples."""
@@ -123,11 +135,21 @@ def corruptions(mul, rng: random.Random, count: int):
 
 
 def assert_agrees(mul) -> None:
+    """verify_group_axioms agrees with the cubic oracle, and make_table
+    raises the verdict's detail exactly when the verdict fails."""
     verdict = verify_group_axioms(mul)
     assert verdict.ok == cubic_is_group(mul), verdict
     if verdict.axiom == "associativity":
         a, b, c = verdict.witness
         assert mul[mul[a][b]][c] != mul[a][mul[b][c]]
+    if verdict.ok:
+        g = make_table(mul)
+        assert g.mul == tuple(map(tuple, mul))
+        assert all(mul[g.identity][x] == x == mul[x][g.identity] for x in range(len(mul)))
+    else:
+        with pytest.raises(ValueError) as raised:
+            make_table(mul)
+        assert str(raised.value) == verdict.detail
 
 
 class TestAgainstCubicOracle:
@@ -137,6 +159,7 @@ class TestAgainstCubicOracle:
         mul = relabel(parse_and_eval(expr).mul, rng)
         assert verify_group_axioms(mul).ok
         assert cubic_is_group(mul)
+        assert_agrees(mul)
 
     @pytest.mark.parametrize("expr", FAMILIES[1:])
     def test_single_cell_corruptions(self, expr):
@@ -149,6 +172,10 @@ class TestAgainstCubicOracle:
         verdict = verify_group_axioms(LOOP5)
         assert verdict.axiom == "associativity"
         assert_agrees(LOOP5)
+
+    def test_make_table_refuses_a_loop_whose_generators_commute(self):
+        assert verify_group_axioms(L7).axiom == "associativity"
+        assert_agrees(L7)  # so make_table raises the verdict's detail
 
     def test_nonassociativity_beyond_the_first_generator(self):
         # Z2 x LOOP5: (1, e) is the first generator and lies in the nucleus,
@@ -175,7 +202,8 @@ class TestAgainstCubicOracle:
             monkeypatch.setattr(GroupTable, name, property(refuse))
         broken = [list(r) for r in parse_and_eval("Z4").mul]
         broken[1][1] = 1
-        assert verify_group_axioms(make_table(broken)).axiom == "associativity"
+        table = GroupTable(4, tuple(map(tuple, broken)), 0, ("e", "a", "b", "c"))
+        assert verify_group_axioms(table).axiom == "associativity"
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_random_loops(self, n):
@@ -204,7 +232,7 @@ class TestEntryCheck:
     def test_float_entry_is_rejected(self):
         verdict = verify_group_axioms([[0, 1.0], [1, 0]])
         assert (verdict.axiom, verdict.witness) == ("closure", (0, 1))
-        assert verdict.detail == "mul[0][1] = 1.0 is not an element index"
+        assert verdict.detail == "mul[0][1] = 1.0 lies outside the element indices 0..1"
 
     def test_negative_entry_is_rejected(self):
         verdict = verify_group_axioms([[0, 1, 2], [1, 2, 0], [2, 0, -1]])
@@ -213,7 +241,7 @@ class TestEntryCheck:
     def test_first_bad_cell_in_row_major_order(self):
         verdict = verify_group_axioms([[0, 1, 2], [1, 7, "x"], [-3, 0, 1]])
         assert (verdict.axiom, verdict.witness) == ("closure", (1, 1))
-        assert verdict.detail == "mul[1][1] = 7 is not an element index"
+        assert verdict.detail == "mul[1][1] = 7 lies outside the element indices 0..2"
 
     def test_int_subclass_is_accepted(self):
         z3 = [[IntLike((a + b) % 3) for b in range(3)] for a in range(3)]

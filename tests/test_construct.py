@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupkit.aut
 import groupkit.construct
 from groupkit.aut import aut_group, automorphisms
 from groupkit.construct import (
@@ -26,6 +27,7 @@ from groupkit.construct import (
 from groupkit.core import (
     Morphism,
     SizeCapError,
+    SubgroupRef,
     center,
     is_abelian,
     make_table,
@@ -290,6 +292,13 @@ class TestActions:
             for other in products[1:]:
                 assert are_isomorphic(products[0], other) is not None
 
+    def test_holomorph_refuses_past_the_size_cap_before_aut(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Aut built for a holomorph past the size cap")
+        monkeypatch.setattr(groupkit.aut, "aut_group", refuse)
+        with pytest.raises(SizeCapError, match=r"^order 48 exceeds size cap 47$"):
+            holomorph(12, size_cap=47)  # 12 * phi(12) = 48
+
     def test_classes_honour_the_aut_cap_on_h(self):
         z2 = cyclic(2)
         h = direct_product(direct_product(direct_product(direct_product(z2, z2), z2), z2), z2)
@@ -463,7 +472,8 @@ def test_built_tables_and_actions_pass_the_full_checks(monkeypatch):
     """Tables and actions built from checked parts, without make_table or
     Action's check, against both: each table equals make_table of its rows
     and passes verify_group_axioms, its derived inverses are two-sided, and
-    each action passes Action(...)."""
+    each action passes Action(...), recognize_split's conjugation actions on
+    the products' K-copies included."""
     built_actions = []
     trusted = groupkit.construct._trusted_action
 
@@ -487,6 +497,8 @@ def test_built_tables_and_actions_pass_the_full_checks(monkeypatch):
                 k_copy = [x * h.order + h.identity for x in range(k.order)]
                 tables += [g, subgroup_table(g, center(g).members)[0],
                            subgroup_table(g, k_copy)[0]]
+                witness = recognize_split(g, SubgroupRef(g, tuple(k_copy)))
+                assert witness.action is built_actions[-1]  # checked by Action(...) below
                 if g.order <= 12:
                     tables.append(aut_group(g).table)
     for t in tables:

@@ -133,10 +133,13 @@ class TestMakeTable:
 
     def test_inverse_is_the_lowest_two_sided_one(self):
         # row 2 holds the identity first at 1, but 1 * 2 = 2, so that cell is
-        # one-sided; the check goes on to 2 * 2 = e, a two-sided inverse
-        g = make_table([[0, 1, 2], [1, 0, 2], [2, 0, 0]])
-        assert g.mul[2][1] == g.identity != g.mul[1][2]
-        assert g.mul[2][2] == g.identity
+        # one-sided; the check goes on to 2 * 2 = e, a two-sided inverse, and
+        # only associativity fails
+        mul = [[0, 1, 2], [1, 0, 2], [2, 0, 0]]
+        assert mul[2][1] == 0 != mul[1][2] and mul[2][2] == 0
+        assert verify_group_axioms(mul).axiom == "associativity"
+        with pytest.raises(ValueError, match=r"^\(a\*b\)\*c != a\*\(b\*c\)"):
+            make_table(mul)
 
     @pytest.mark.parametrize("b, cell", [(1, 0.0), (2, 1.0), (2, True)])
     def test_rejects_cells_that_only_compare_equal_to_an_index(self, b, cell):
@@ -197,8 +200,10 @@ class TestElementOrders:
         assert element_order(g, 1) == 2
 
     def test_powers_that_miss_the_identity_raise(self):
-        # identity 0 and inverses exist, but 1*1 = 1, so 1^k = 1 for every k
-        g = make_table([[0, 1, 2, 3], [1, 1, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
+        # identity 0 and inverses exist, but 1*1 = 1, so 1^k = 1 for every k;
+        # make_table refuses such a table, so it is built by hand
+        g = GroupTable(4, ((0, 1, 2, 3), (1, 1, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)), 0,
+                       ("e", "a", "b", "c"))
         with pytest.raises(ValueError, match="element 1"):
             g.orders
         with pytest.raises(ValueError, match="element 1"):
@@ -253,6 +258,23 @@ class TestSubgroups:
         assert SubgroupRef(g, (0, 2, 4, 6)).members == (0, 2, 4, 6)
         with pytest.raises(ValueError):
             SubgroupRef(g, (0, 2))  # not closed: 2*2 = 4
+
+    @pytest.mark.parametrize("members, bad", [
+        ((0, True, 2, 3), "True"), ((0, 2.0), "2.0"), ((0, "a"), "'a'"),
+        ((0, 4), "4"), ((-1, 0), "-1")])
+    def test_members_must_be_element_indices(self, members, bad):
+        # True == 1 and 2.0 == 2 pass a range test, and 'a' does not sort with ints
+        with pytest.raises(ValueError, match=rf"^member {bad} is not an element index 0..3$"):
+            SubgroupRef(cyclic(4), members)
+
+    def test_generators_must_be_element_indices(self):
+        g = cyclic(4)
+        for x in (True, 2.0, "a"):
+            with pytest.raises(ValueError, match="is not an element index"):
+                subgroup_generated(g, [0, x])
+        for x in (-1, 4):
+            with pytest.raises(IndexError, match=rf"^generator index {x} out of range$"):
+                subgroup_generated(g, [x])
 
     def test_normality(self):
         d4 = dihedral(4)

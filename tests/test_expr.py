@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import groupkit.aut
 from groupkit.construct import dihedral
 from groupkit.core import SizeCapError
 from groupkit.expr import (
@@ -188,6 +189,16 @@ class TestEval:
     def test_size_cap_propagates(self):
         with pytest.raises(SizeCapError):
             parse_and_eval("Z9999")
+
+    @pytest.mark.parametrize("text, order", [
+        ("Hol 4096", 4096 * 2048), ("Z65 : Z64 [#0]", 65 * 64), ("(Z8 x Z8) : Z65 [#0]", 64 * 65)])
+    def test_oversize_products_refuse_before_aut(self, monkeypatch, text, order):
+        # |Hol n| = n * phi(n) and |K x| H| = |K| * |H| are known before Aut is built
+        def refuse(*args, **kwargs):
+            raise AssertionError("Aut built for a product past the size cap")
+        monkeypatch.setattr(groupkit.aut, "aut_group", refuse)
+        with pytest.raises(SizeCapError, match=rf"^order {order} exceeds size cap 4096$"):
+            parse_and_eval(text)
 
     def test_trivial_power_action_matches_direct_product(self):
         g1 = parse_and_eval("Z5 : Z4 [r^1]")

@@ -10,9 +10,10 @@ from .core import GroupTable, Morphism, SizeCapError, SubgroupRef, _compose_rows
 from ._search import generating_sequence, search_morphisms
 
 DEFAULT_AUT_CAP = 10_000
+_Images = tuple[tuple[int, ...], ...]
 
 
-def _aut_chain(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[dict]]:
+def _aut_chain(g: GroupTable, cap: int) -> tuple[_Images, tuple[dict, ...]]:
     """Strong generators S of Aut(G) and a Schreier vector per generator of G.
 
     A_t fixes g_0, ..., g_{t-1} of the generating sequence; A_d = 1, since a
@@ -30,25 +31,30 @@ def _aut_chain(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[dic
     lies in <S>. Hence |Aut G| is the product of the orbit lengths, checked
     against the cap, for every group, before anything is listed. Each S[i]
     passed respects_products at its leaf, and products of automorphisms are
-    automorphisms.
+    automorphisms. It is searched once per table and kept in g.__dict__, as
+    cached_property keeps g.orders, and the cap is checked on every call; like
+    _chain_images and aut_group, it caches no Morphism, which points back at g.
     """
-    gens, orders = g.gens_and_plans[0], g.orders
-    strong, vectors = [], []
-    for t, x in reversed([*enumerate(gens)]):
-        orbit: dict[int, tuple[int, int] | None] = {x: None}
-        for w in range(g.order):
-            if orders[w] != orders[x] or w in orbit:
-                continue
-            if found := search_morphisms(g, g, bijective=True, first_only=True,
-                                         fixed=(*gens[:t], w)):
-                strong.append(found[0])
-                queue = list(orbit)
-                for p in queue:
-                    for i, s in enumerate(strong):
-                        if s[p] not in orbit:
-                            orbit[s[p]] = (i, p)
-                            queue.append(s[p])
-        vectors.insert(0, orbit)
+    if (chain := g.__dict__.get("_aut_chain")) is None:
+        gens, orders = g.gens_and_plans[0], g.orders
+        strong, vectors = [], []
+        for t, x in reversed([*enumerate(gens)]):
+            orbit: dict[int, tuple[int, int] | None] = {x: None}
+            for w in range(g.order):
+                if orders[w] != orders[x] or w in orbit:
+                    continue
+                if found := search_morphisms(g, g, bijective=True, first_only=True,
+                                             fixed=(*gens[:t], w)):
+                    strong.append(found[0])
+                    queue = list(orbit)
+                    for p in queue:
+                        for i, s in enumerate(strong):
+                            if s[p] not in orbit:
+                                orbit[s[p]] = (i, p)
+                                queue.append(s[p])
+            vectors.insert(0, orbit)
+        chain = g.__dict__["_aut_chain"] = tuple(strong), tuple(vectors)
+    strong, vectors = chain
     if (count := prod(map(len, vectors))) > cap:
         raise SizeCapError(
             f"group of order {g.order} has {count} automorphisms, "
@@ -56,7 +62,7 @@ def _aut_chain(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[dic
     return strong, vectors
 
 
-def _chain_images(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def _chain_images(g: GroupTable, cap: int) -> tuple[_Images, _Images]:
     """The strong generators of _aut_chain and every automorphism's image array, sorted.
 
     Refuses past the cap (_aut_chain). Vector t gives the transversal of
@@ -64,20 +70,23 @@ def _chain_images(g: GroupTable, cap: int) -> tuple[list[tuple[int, ...]], list[
     is u_0 u_1 ... u_{d-1} in one way: one composition of image arrays apiece.
     Each level composes its transversal's u with every e listed so far,
     (u after e)[x] = u[e[x]], by one itemgetter(*e) per e; u after id = u.
+    Listed once per table and cached on g, as _aut_chain is.
     """
     strong, vectors = _aut_chain(g, cap)
-    ident = tuple(range(g.order))
-    autos = [ident]
-    # every gather has n >= 3 indices (Aut G > 1), so returns a tuple, as in core._compose_rows
-    for orbit in reversed(vectors):
-        transversal = {}
-        for q, link in orbit.items():
-            transversal[q] = ident if link is None else (
-                itemgetter(*transversal[link[1]])(strong[link[0]]))
-        new = list(transversal.values())[1:]
-        autos += new if len(autos) == 1 else [
-            get(u) for e in autos for get in [itemgetter(*e)] for u in new]
-    autos.sort()
+    if (autos := g.__dict__.get("_aut_images")) is None:
+        ident = tuple(range(g.order))
+        autos = [ident]
+        # every gather has n >= 3 indices (Aut G > 1), so returns a tuple, as in core._compose_rows
+        for orbit in reversed(vectors):
+            transversal = {}
+            for q, link in orbit.items():
+                transversal[q] = ident if link is None else (
+                    itemgetter(*transversal[link[1]])(strong[link[0]]))
+            new = list(transversal.values())[1:]
+            autos += new if len(autos) == 1 else [
+                get(u) for e in autos for get in [itemgetter(*e)] for u in new]
+        autos.sort()
+        autos = g.__dict__["_aut_images"] = tuple(autos)
     return strong, autos
 
 
@@ -100,32 +109,39 @@ class AutGroup:
     table: GroupTable
 
 
-def _aut_names(g: GroupTable, autos: list[Morphism]) -> list[str]:
+def _aut_names(g: GroupTable, images: _Images) -> tuple[str, ...]:
     gens, ident = generating_sequence(g), tuple(range(g.order))
-    return ["id" if a.image == ident else "(" + ", ".join(
-        f"{g.elem_names[x]}↦{g.elem_names[a.image[x]]}" for x in gens) + ")" for a in autos]
+    return tuple("id" if img == ident else "(" + ", ".join(
+        f"{g.elem_names[x]}↦{g.elem_names[img[x]]}" for x in gens) + ")" for img in images)
 
 
 def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     """Aut(G) as a group table, its rows composed from the strong generators.
 
-    a_i is the automorphism with the i-th smallest image array, so a_0 is the
-    identity map and row 0 is 0, 1, ..., N-1. For each strong generator s,
-    lift[j] is the index of s after a_j, found by its images of the
-    generators of G, which fix an automorphism; so lift is s's row of the
-    table, every entry in range. Composition of automorphisms is a group
-    operation and <S> is Aut G (_aut_chain), so _compose_rows builds every
-    row from the lifts. The table skips make_table's check: row 0 is the
-    identity's.
+    a_j is the automorphism with the j-th smallest image array, so a_0 is the
+    identity map and row 0 is 0, 1, ..., N-1. For a strong generator s, lift[j]
+    is the index of s after a_j, keyed by its images of the generators of G,
+    which fix an automorphism: per generator x, one gather of s at a_j(x) over
+    all j lists them, and the gather of a_0 gives the keys. So lift is s's row,
+    every entry in range; composition is a group operation and <S> is Aut G
+    (_aut_chain), so _compose_rows builds every row from the lifts, without
+    make_table's check. The table is cached on g as _aut_chain is; the
+    Morphism and AutGroup wrappers are new on each call.
     """
     strong, images = _chain_images(g, cap)
-    gens = generating_sequence(g)
-    index_of = {tuple(map(img.__getitem__, gens)): i for i, img in enumerate(images)}
-    lifts = [[index_of[tuple(map(s.__getitem__, key))] for key in index_of] for s in strong]
-    rows = _compose_rows(len(images), 0, lifts)
-    autos = [Morphism(g, g, img) for img in images]
-    table = GroupTable(len(rows), rows, 0, tuple(_aut_names(g, autos)))
-    return AutGroup(g, tuple(autos), table)
+    if (table := g.__dict__.get("_aut_table")) is None:
+        gens = generating_sequence(g) if strong else []  # S != {} so N > 1: gathers give tuples
+        gets = [itemgetter(*map(itemgetter(x), images)) for x in gens]
+        index_of = dict(zip(zip(*[get(images[0]) for get in gets]), range(len(images))))
+        lifts = [list(map(index_of.__getitem__, zip(*[get(s) for get in gets]))) for s in strong]
+        rows = _compose_rows(len(images), 0, lifts)
+        table = g.__dict__["_aut_table"] = GroupTable(len(rows), rows, 0, _aut_names(g, images))
+    return AutGroup(g, tuple(Morphism(g, g, img) for img in images), table)
+
+
+def _aut_order(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> int:
+    """|Aut G|, the product of _aut_chain's orbit lengths, without listing Aut."""
+    return prod(map(len, _aut_chain(g, cap)[1]))
 
 
 def is_characteristic(g: GroupTable, c: SubgroupRef, cap: int = DEFAULT_AUT_CAP) -> bool:

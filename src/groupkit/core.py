@@ -31,9 +31,9 @@ class GroupTable:
     constructor in this package is a group; a table built by hand with
     GroupTable(...) is taken on trust. Everything below assumes a group.
 
-    Derived data (element orders, inverses, root counts, class sizes,
-    generating sequence, extension plans) is computed on first use and cached
-    on the instance; it is not a field, so it never affects eq, hash or repr.
+    Derived data (element orders, inverses, root counts, class sizes, the
+    generating sequence and its plans; Aut's chain, images and table in aut)
+    is computed on first use and cached on the instance, outside eq, hash, repr.
     The orders and inverses cost O(n) products up to a log log n factor, and
     each step of the generating sequence one coset walk of
     O(|<H, y>| * (d + 1)) products per right coset of the subgroup H grown so
@@ -237,7 +237,8 @@ class SubgroupRef:
 
     def __post_init__(self):
         g, given = self.parent, tuple(self.members)
-        if bad := _bad_cell((given,), g.order):
+        if not (set(map(type, given)) <= {int} and 0 <= min(given, default=0)
+                and max(given, default=0) < g.order) and (bad := _bad_cell((given,), g.order)):
             raise ValueError(f"member {given[bad[1]]!r} is not an element index "
                              f"0..{g.order - 1}")
         inside = set(given)

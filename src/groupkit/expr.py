@@ -38,7 +38,7 @@ from .construct import (
     Action, _check_size, actions, cyclic, dihedral, direct_product, holomorph, power_action,
     semidirect)
 from .core import DEFAULT_SIZE_CAP, GroupTable
-from .numth import multiplicative_order
+from .numth import euler_phi, multiplicative_order
 
 
 class ExprError(Exception):
@@ -312,18 +312,30 @@ def _eval(e: GroupExpr, names: Iterator[str]) -> GroupTable:
         table = cyclic(e.n, next(names))
     elif isinstance(e, Dihedral):
         table = dihedral(e.n)
-    elif isinstance(e, Holomorph):
+    else:  # a Holomorph: eval_expr's _order refuses any other leaf
         table = holomorph(e.n)
-    else:
-        raise TypeError(f"not a group expression: {e!r}")
     for node in reversed(spine):
         if isinstance(node, Product):
             table = direct_product(table, _eval(node.right, names))
         else:
             h_table = _eval(node.h_expr, names)
-            _check_size(table.order * h_table.order, DEFAULT_SIZE_CAP)  # before Aut(K) for [#j]
             table = semidirect(table, h_table, _resolve_action(node, table, h_table))
     return table
+
+
+def _order(e: GroupExpr) -> int:
+    """|G| for the group e names, from its leaves: Z n has n elements, D n 2n,
+    Hol n n*phi(n), and x and : multiply."""
+    order, todo = 1, [e]
+    for e in todo:  # list iterators see nodes appended while they run
+        if isinstance(e, (Product, Semidirect)):
+            todo += (e.left, e.right) if isinstance(e, Product) else (e.k_expr, e.h_expr)
+        elif isinstance(e, (Cyclic, Dihedral, Holomorph)):
+            per_n = euler_phi(e.n) if isinstance(e, Holomorph) else 1 + isinstance(e, Dihedral)
+            order *= per_n * e.n
+        else:
+            raise TypeError(f"not a group expression: {e!r}")
+    return order
 
 
 def eval_expr(e: GroupExpr) -> GroupTable:
@@ -332,8 +344,10 @@ def eval_expr(e: GroupExpr) -> GroupTable:
     Cyclic leaves receive generator letters in parse order: r through w,
     then g7, g8 and so on.
     Raises ExprEvalError for impossible actions and SizeCapError when a
-    construction would exceed the size cap.
+    construction would exceed the size cap. The order of the whole tree is
+    checked before any table is built; every subtree's order divides it.
     """
+    _check_size(_order(e), DEFAULT_SIZE_CAP)
     return _eval(e, chain("rstuvw", map("g{}".format, count(7))))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 
 from .core import (
     GroupTable,
@@ -31,6 +32,7 @@ from .construct import (
     semidirect,
 )
 from .aut import (
+    _aut_order,
     aut_group,
     automorphisms,
     is_characteristic,
@@ -103,7 +105,7 @@ def check_table1(max_n: int) -> list[VerifyReport]:
     """|Aut(Z_n x Z_2)| against the phi(n) / 4*phi(n) / 6*phi(n) formula."""
     rec = _Recorder()
     for n in range(2, max_n + 1):
-        got = len(automorphisms(_zn_x_z2(n)))
+        got = _aut_order(_zn_x_z2(n))
         rec.add(f"table1.n={n}", _table1_formula(n), got)
     return rec.reports
 
@@ -130,8 +132,9 @@ def check_aut_zn_mod4_structure(max_n: int) -> list[VerifyReport]:
     n=2 -> D3, n=4 -> D4, n=6 -> D6, n=8 -> Z2 x D4.
     """
     rec = _Recorder()
+    zn_x_z2 = cache(_zn_x_z2)  # n = 4 and 8 come up twice; their Aut is then built once
     for n in range(4, max_n + 1, 4):
-        a = aut_group(_zn_x_z2(n)).table
+        a = aut_group(zn_x_z2(n)).table
         w_target = direct_product(aut_group(cyclic(n)).table, cyclic(2, "s"))
         witness = _index2_split_subgroup(a, w_target)
         rec.holds(f"thm4.1.n={n}", "split over Aut(Zn) x Z2 found", witness is not None,
@@ -139,7 +142,7 @@ def check_aut_zn_mod4_structure(max_n: int) -> list[VerifyReport]:
     named = ((2, "D3", dihedral(3)), (4, "D4", dihedral(4)), (6, "D6", dihedral(6)),
              (8, "Z2 x D4", direct_product(cyclic(2), dihedral(4))))
     for n, label, target in named:
-        a = aut_group(_zn_x_z2(n)).table
+        a = aut_group(zn_x_z2(n)).table
         rec.holds(f"sec4.1.n={n}", f"Aut(Z{n} x Z2) ~ {label}",
                   are_isomorphic(a, target) is not None, "not isomorphic")
     return rec.reports
@@ -150,7 +153,7 @@ def check_prime_power_aut(pairs: tuple[tuple[int, int], ...]) -> list[VerifyRepo
     rec = _Recorder()
     for p, k in pairs:
         expected = p**k - p ** (k - 1)
-        got = len(automorphisms(cyclic(p**k)))
+        got = _aut_order(cyclic(p**k))
         rec.add(f"prop4.2.p={p}.k={k}", expected, got)
     return rec.reports
 
@@ -165,7 +168,7 @@ def check_elementary_abelian_aut(pairs: tuple[tuple[int, int], ...]) -> list[Ver
         g = cyclic(p)
         for _ in range(m - 1):
             g = direct_product(g, cyclic(p))
-        got = len(automorphisms(g))
+        got = _aut_order(g)
         rec.add(f"sec4.2.p={p}.m={m}", expected, got)
     return rec.reports
 
@@ -247,10 +250,10 @@ def check_action_equivalence(max_m: int, max_n: int) -> list[VerifyReport]:
     building at the first non-isomorphic one.
     """
     rec = _Recorder()
+    hs = [cyclic(n, "s") for n in range(1, max_n + 1)]  # each Aut(Z_n) is then computed once
     for m in range(1, max_m + 1):
         k = cyclic(m)
-        for n in range(1, max_n + 1):
-            h = cyclic(n, "s")
+        for n, h in enumerate(hs, 1):
             ok = True
             for first, *rest in action_classes(h, k):
                 if rest:
@@ -281,8 +284,9 @@ def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
     direction on Z4 x Z2.
     """
     rec = _Recorder()
+    cyc = cache(cyclic)  # each factor, and so its Aut, is built once
     for m, n in _coprime_pairs(max_order):
-        k, h = cyclic(m), cyclic(n, "s")
+        k, h = cyc(m), cyc(n, "s")
         acts = actions(h, k)
         aut_k = automorphisms(k)
         aut_h = automorphisms(h)
@@ -298,7 +302,7 @@ def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
                              if all(psi[delta.image[x]] == psi[x] for x in range(n)))
         rec.holds(f"thm6.4.m={m}.n={n}", f"Z{m}-copy characteristic in all {len(acts)} products",
                   char_ok, "not characteristic somewhere")
-        got = len(automorphisms(direct_product(k, h)))
+        got = _aut_order(direct_product(k, h))
         rec.add(f"prop5.3.m={m}.n={n}", euler_phi(m) * euler_phi(n), got)
         rec.holds(f"thm6.2.m={m}.n={n}", "central image lifts all omega", zeta_ok,
                   "zeta verdict false")
@@ -307,30 +311,29 @@ def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
 
     # general (non-cyclic) coprime factors: characteristic K-copy and
     # |Aut(K x H)| = |Aut K| * |Aut H|
-    for kn, k, hn, h in (("D3", dihedral(3), "Z5", cyclic(5, "t")),
-                         ("D4", dihedral(4), "Z3", cyclic(3, "t"))):
-        g = direct_product(k, h)
+    d3, d4, pair = dihedral(3), dihedral(4), cache(direct_product)  # D4 x Z3 comes up twice
+    for kn, k, hn, h in (("D3", d3, "Z5", cyc(5, "t")), ("D4", d4, "Z3", cyc(3, "t"))):
+        g = pair(k, h)
         rec.holds(f"thm6.5.{kn}x{hn}", f"{kn}-copy characteristic",
                   is_characteristic(g, kh_copies(k.order, h.order, g)[0]), "not characteristic")
-        expected = len(automorphisms(k)) * len(automorphisms(h))
-        rec.add(f"prop5.4.{kn}x{hn}", expected, len(automorphisms(g)))
+        rec.add(f"prop5.4.{kn}x{hn}", _aut_order(k) * _aut_order(h), _aut_order(g))
 
     battery = (
-        ("Z2", cyclic(2), "Z2b", cyclic(2, "s")),
-        ("Z4", cyclic(4), "Z2", cyclic(2, "s")),
-        ("Z2", cyclic(2), "Z4", cyclic(4, "s")),
-        ("Z3", cyclic(3), "Z3b", cyclic(3, "s")),
-        ("Z3", cyclic(3), "Z4", cyclic(4, "s")),
-        ("Z2", cyclic(2), "Z3", cyclic(3, "s")),
-        ("D3", dihedral(3), "Z2", cyclic(2, "t")),
-        ("D4", dihedral(4), "Z3", cyclic(3, "t")),
-        ("Z5", cyclic(5), "Z4", cyclic(4, "s")),
+        ("Z2", cyc(2), "Z2b", cyc(2, "s")),
+        ("Z4", cyc(4), "Z2", cyc(2, "s")),
+        ("Z2", cyc(2), "Z4", cyc(4, "s")),
+        ("Z3", cyc(3), "Z3b", cyc(3, "s")),
+        ("Z3", cyc(3), "Z4", cyc(4, "s")),
+        ("Z2", cyc(2), "Z3", cyc(3, "s")),
+        ("D3", d3, "Z2", cyc(2, "t")),
+        ("D4", d4, "Z3", cyc(3, "t")),
+        ("Z5", cyc(5), "Z4", cyc(4, "s")),
     )
     for kn, k, hn, h in battery:
-        g = direct_product(k, h)
+        g = pair(k, h)
         kc, hc = kh_copies(k.order, h.order, g)
-        product_count = len(automorphisms(g))
-        factor_count = len(automorphisms(k)) * len(automorphisms(h))
+        product_count = _aut_order(g)
+        factor_count = _aut_order(k) * _aut_order(h)
         both_char = is_characteristic(g, kc) and is_characteristic(g, hc)
         rec.holds(f"cor5.2.{kn}x{hn}", "order factorization iff both copies characteristic",
                   (product_count == factor_count) == both_char,
@@ -348,7 +351,7 @@ def _negative_control_reports() -> list[VerifyReport]:
     rec.holds("negative-control.corrupt-table", "table passes group axioms", verdict.ok,
               f"axiom {verdict.axiom} violated at witness {verdict.witness}")
     wrong = euler_phi(6) + 1  # deliberately wrong expected count
-    got = len(automorphisms(cyclic(6)))
+    got = _aut_order(cyclic(6))
     rec.add("negative-control.wrong-formula", wrong, got)
     return rec.reports
 

@@ -1,6 +1,8 @@
 """Automorphism groups, lifting maps on semidirect products, caps."""
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from groupkit.aut import (
     zeta_lift,
 )
 from groupkit.construct import (
+    action_classes,
     actions,
     cyclic,
     dihedral,
@@ -129,12 +132,53 @@ class TestAutGroup:
                     for a in ag.elements)
         assert ag.table.mul == mul
         assert ag.table.identity == index_of[tuple(range(ag.base.order))]
+        again = aut_group(ag.base)
+        assert again.table == ag.table and again.elements == ag.elements
 
     def test_runs_the_chain_once(self, monkeypatch):
         g, calls, chain = parse_and_eval("Hol 16"), [], groupkit.aut._aut_chain
         monkeypatch.setattr(groupkit.aut, "_aut_chain", lambda *a: calls.append(a) or chain(*a))
         aut_group(g)
         assert len(calls) == 1
+
+    def test_aut_is_computed_once_per_table(self, monkeypatch):
+        real, searches = groupkit.aut.search_morphisms, []
+        monkeypatch.setattr(groupkit.aut, "search_morphisms",
+                            lambda *a, **k: searches.append(1) or real(*a, **k))
+        g = dihedral(6)
+        first = automorphisms(g)
+        assert searches
+        seen = len(searches)
+        table = aut_group(g).table
+        assert is_characteristic(g, center(g))
+        assert groupkit.aut._aut_order(g) == len(first) == table.order
+        assert action_classes(cyclic(2), g) and actions(cyclic(3), g)
+        assert automorphisms(g) == first and aut_group(g).table is table
+        assert len(searches) == seen
+
+    def test_cap_is_checked_on_every_call(self):
+        g = dihedral(6)
+        with pytest.raises(SizeCapError, match="group of order 12 has 12 automorphisms") as first:
+            automorphisms(g, cap=11)
+        assert len(aut_group(g, cap=12).elements) == 12
+        for call in (automorphisms, aut_group, groupkit.aut._aut_order):
+            with pytest.raises(SizeCapError) as again:
+                call(g, cap=11)
+            assert str(again.value) == str(first.value)
+        with pytest.raises(SizeCapError):
+            is_characteristic(g, center(g), cap=11)
+
+    def test_cache_keeps_no_reference_to_its_table(self):
+        g = parse_and_eval("D4 x Z3")
+        aut_group(g)
+        automorphisms(g)
+        ref = weakref.ref(g)
+        gc.disable()
+        try:
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_aut_of_klein_four_is_d3(self):
         ag = aut_group(direct_product(cyclic(2), cyclic(2)))

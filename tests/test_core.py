@@ -439,6 +439,8 @@ class TestDerivedData:
         a, b = dihedral(4), dihedral(4)
         assert a.orders and a.inv and a.gens_and_plans
         assert {"orders", "inv"} <= set(vars(a)) and not {"orders", "inv"} & set(vars(b))
+        aut_group(a)
+        assert {"_aut_chain", "_aut_images", "_aut_table"} <= set(vars(a)) - set(vars(b))
         assert a == b and b == a
         assert hash(a) == hash(b)
         assert repr(a) == repr(b)

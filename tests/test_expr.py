@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupkit.aut
+import groupkit.expr
 from groupkit.construct import dihedral
 from groupkit.core import SizeCapError
 from groupkit.expr import (
@@ -197,6 +198,18 @@ class TestEval:
         def refuse(*args, **kwargs):
             raise AssertionError("Aut built for a product past the size cap")
         monkeypatch.setattr(groupkit.aut, "aut_group", refuse)
+        with pytest.raises(SizeCapError, match=rf"^order {order} exceeds size cap 4096$"):
+            parse_and_eval(text)
+
+    @pytest.mark.parametrize("text, order", [
+        ("Z4096 x Z2", 8192), ("Z4096 : Z2 [#0]", 8192), ("(Z64 x Z64) : Z2 [#0]", 8192),
+        ("Z2 x (Z3 : Z2 [r^2]) x Z1024", 12288), ("D2049", 4098)])
+    def test_oversize_trees_refuse_before_any_table(self, monkeypatch, text, order):
+        # the order of a tree follows from its leaves, so no factor is built first
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table was built for a tree past the size cap")
+        for name in ("cyclic", "dihedral", "holomorph"):
+            monkeypatch.setattr(groupkit.expr, name, refuse)
         with pytest.raises(SizeCapError, match=rf"^order {order} exceeds size cap 4096$"):
             parse_and_eval(text)
 

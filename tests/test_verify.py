@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import groupkit.aut
 import groupkit.verify
 from groupkit.core import SizeCapError
 from groupkit.verify import (
@@ -80,6 +81,23 @@ class TestIndividualChecks:
         reports = check_action_equivalence(max_m=12, max_n=6)
         assert len(reports) == 72
         assert len(builds) == 20
+
+    def test_action_equivalence_computes_each_factors_aut_once(self, monkeypatch):
+        # Aut(Z_m) for 12 m and Aut(Z_n) for 6 n: one chain per factor, one table per Z_m
+        chain, compose, counts = groupkit.aut._aut_chain, groupkit.aut._compose_rows, [0, 0]
+
+        def counting_chain(g, cap):
+            counts[0] += "_aut_chain" not in vars(g)  # no chain cached on g yet
+            return chain(g, cap)
+
+        def counting_compose(*args):
+            counts[1] += 1
+            return compose(*args)
+
+        monkeypatch.setattr(groupkit.aut, "_aut_chain", counting_chain)
+        monkeypatch.setattr(groupkit.aut, "_compose_rows", counting_compose)
+        assert len(check_action_equivalence(max_m=12, max_n=6)) == 72
+        assert counts == [18, 12]
 
     def test_action_equivalence_compares_every_class_with_a_second_member(self, monkeypatch):
         monkeypatch.setattr(groupkit.verify, "are_isomorphic", lambda a, b: None)

@@ -147,12 +147,23 @@ def _aut_order(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> int:
 def is_characteristic(g: GroupTable, c: SubgroupRef, cap: int = DEFAULT_AUT_CAP) -> bool:
     """True when every automorphism of G maps the subgroup C onto itself.
 
-    Tests only the strong generators of _aut_chain, which refuses past the
-    cap: the automorphisms that map C onto C form a subgroup, and one that
-    holds a generating set of Aut G holds all of it.
+    First an O(n) certificate from g.orders: with O the set of orders of the
+    members of C, when C is every element of G whose order lies in O, C is
+    characteristic, since an automorphism keeps each element's order and so
+    maps that set onto itself. A normal Hall subgroup N, such as the K-copy
+    of K x| H with gcd(|K|, |H|) = 1, is certified so, without the chain or
+    its cap: an x whose order divides |N| maps to an element of G/N whose
+    order divides both |N| and |G/N|, so x lies in N. Otherwise it tests
+    only the strong generators of _aut_chain, which refuses past the cap: the
+    automorphisms that map C onto C form a subgroup, and one that holds a
+    generating set of Aut G holds all of it.
     """
     if c.parent != g:
         raise ValueError("subgroup belongs to a different parent group")
+    orders = g.orders
+    wanted = {orders[x] for x in c.members}
+    if sum(o in wanted for o in orders) == len(c.members):  # C lies in that set, so equals it
+        return True
     members = set(c.members)
     return all({a[x] for x in members} == members for a in _aut_chain(g, cap)[0])
 

@@ -112,6 +112,15 @@ def _check_size(order: int, size_cap: int) -> None:
         raise SizeCapError(f"order {order} exceeds size cap {size_cap}")
 
 
+def _check_hol_size(n: int, size_cap: int) -> None:
+    """SizeCapError when Hol n = Z_n x| Aut(Z_n), of order n*phi(n), would
+    pass size_cap. An n above the cap is refused before phi(n) factors n:
+    n*phi(n) >= n, so that order is oversize whatever phi(n) is."""
+    if n > size_cap:
+        raise SizeCapError(f"order at least {n} exceeds size cap {size_cap}")
+    _check_size(n * euler_phi(n), size_cap)
+
+
 def cyclic(n: int, gen: str = "r", size_cap: int = DEFAULT_SIZE_CAP) -> GroupTable:
     """Z_n with elements 0..n-1 named e, gen, gen^2, ..."""
     if n < 1:
@@ -232,8 +241,9 @@ def action_classes(h: GroupTable, k: GroupTable,
 def holomorph(n: int, size_cap: int = DEFAULT_SIZE_CAP,
               aut_cap: int = _aut.DEFAULT_AUT_CAP) -> GroupTable:
     """Z_n x| Aut(Z_n) under the identity action, order n * phi(n), which
-    is checked against size_cap before Z_n or Aut(Z_n) is built."""
-    _check_size(n * euler_phi(n), size_cap)
+    is checked against size_cap before Z_n or Aut(Z_n) is built
+    (_check_hol_size)."""
+    _check_hol_size(n, size_cap)
     k = cyclic(n, size_cap=size_cap)
     ag = _aut.aut_group(k, cap=aut_cap)
     # elements[i] o elements[j] = elements[table[i][j]], as aut_group builds the table

@@ -35,8 +35,8 @@ from math import gcd
 from typing import Iterator, NoReturn, Union
 
 from .construct import (
-    Action, _check_size, actions, cyclic, dihedral, direct_product, holomorph, power_action,
-    semidirect)
+    Action, _check_hol_size, _check_size, actions, cyclic, dihedral, direct_product, holomorph,
+    power_action, semidirect)
 from .core import DEFAULT_SIZE_CAP, GroupTable
 from .numth import euler_phi, multiplicative_order
 
@@ -325,14 +325,18 @@ def _eval(e: GroupExpr, names: Iterator[str]) -> GroupTable:
 
 def _order(e: GroupExpr) -> int:
     """|G| for the group e names, from its leaves: Z n has n elements, D n 2n,
-    Hol n n*phi(n), and x and : multiply."""
+    Hol n n*phi(n), and x and : multiply. A Hol n leaf past the size cap is
+    refused before phi(n) factors n (_check_hol_size): every leaf's order
+    divides |G|."""
     order, todo = 1, [e]
     for e in todo:  # list iterators see nodes appended while they run
         if isinstance(e, (Product, Semidirect)):
             todo += (e.left, e.right) if isinstance(e, Product) else (e.k_expr, e.h_expr)
-        elif isinstance(e, (Cyclic, Dihedral, Holomorph)):
-            per_n = euler_phi(e.n) if isinstance(e, Holomorph) else 1 + isinstance(e, Dihedral)
-            order *= per_n * e.n
+        elif isinstance(e, Holomorph):
+            _check_hol_size(e.n, DEFAULT_SIZE_CAP)
+            order *= euler_phi(e.n) * e.n
+        elif isinstance(e, (Cyclic, Dihedral)):
+            order *= (1 + isinstance(e, Dihedral)) * e.n
         else:
             raise TypeError(f"not a group expression: {e!r}")
     return order

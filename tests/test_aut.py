@@ -24,11 +24,13 @@ from groupkit.construct import (
     cyclic,
     dihedral,
     direct_product,
+    kh_copies,
     semidirect,
     trivial_action,
 )
 from groupkit.core import (
     SizeCapError,
+    SubgroupRef,
     center,
     is_abelian,
     subgroup_generated,
@@ -269,6 +271,31 @@ class TestCharacteristic:
         g = dihedral(5)
         assert is_characteristic(g, subgroup_generated(g, []))
         assert is_characteristic(g, subgroup_generated(g, [1, 2]))
+
+    def test_k_copies_of_coprime_products_are_certified_without_a_search(self, monkeypatch):
+        # the K-copy of Z15 x| Z4 is a normal Hall subgroup: every element of
+        # order dividing 15 lies in it, so element orders certify it
+        count = len(actions(cyclic(4), cyclic(15)))
+        products = [parse_and_eval(f"Z15 : Z4 [#{j}]") for j in range(count)]
+        searches = []
+        monkeypatch.setattr(groupkit.aut, "search_morphisms",
+                            lambda *a, **k: searches.append(a) or [])
+        for g in products:
+            assert is_characteristic(g, kh_copies(15, 4, g)[0])
+        assert count == 8 and searches == []
+
+    def test_certified_subgroup_needs_no_cap(self):
+        # |Aut(Z2 x Z2 x Z2 x Z4)| = 21504 is over the cap, but the elements
+        # of order at most 2 are all the elements of orders 1 and 2
+        g = parse_and_eval("Z2 x Z2 x Z2 x Z4")
+        omega = SubgroupRef(g, tuple(x for x in range(g.order) if g.orders[x] <= 2))
+        assert len(omega) == 16
+        assert is_characteristic(g, omega)
+
+    def test_uncertified_subgroup_still_refuses_past_the_cap(self):
+        g = parse_and_eval("Z2 x Z2 x Z2 x Z4")
+        with pytest.raises(SizeCapError, match="group of order 32 has 21504 automorphisms"):
+            is_characteristic(g, subgroup_generated(g, [1]))
 
 
 def test_chain_matches_the_full_search():

@@ -299,6 +299,15 @@ class TestActions:
         with pytest.raises(SizeCapError, match=r"^order 48 exceeds size cap 47$"):
             holomorph(12, size_cap=47)  # 12 * phi(12) = 48
 
+    @pytest.mark.parametrize("n", [4097, 1_000_000_000_000_000_003])
+    def test_holomorph_past_the_cap_refuses_before_phi(self, monkeypatch, n):
+        # |Hol n| = n * phi(n) >= n; phi(10^18 + 3) by trial division would not return
+        def refuse(m):
+            raise AssertionError(f"phi({m}) computed for a holomorph past the size cap")
+        monkeypatch.setattr(groupkit.construct, "euler_phi", refuse)
+        with pytest.raises(SizeCapError, match=rf"^order at least {n} exceeds size cap 4096$"):
+            holomorph(n)
+
     def test_classes_honour_the_aut_cap_on_h(self):
         z2 = cyclic(2)
         h = direct_product(direct_product(direct_product(direct_product(z2, z2), z2), z2), z2)

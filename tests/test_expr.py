@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupkit.aut
+import groupkit.construct
 import groupkit.expr
 from groupkit.construct import dihedral
 from groupkit.core import SizeCapError
@@ -211,6 +212,23 @@ class TestEval:
         for name in ("cyclic", "dihedral", "holomorph"):
             monkeypatch.setattr(groupkit.expr, name, refuse)
         with pytest.raises(SizeCapError, match=rf"^order {order} exceeds size cap 4096$"):
+            parse_and_eval(text)
+
+    @pytest.mark.parametrize("text", [
+        "Hol 1000000000000000003", "Z5000 x Hol 1000000000000000003",
+        "Z2 x Hol 4097", "(Hol 1000000000000000003 x Z2) : Z3 [#0]"])
+    def test_hol_past_the_cap_refuses_before_phi(self, monkeypatch, text):
+        # |Hol n| >= n, so n > 4096 is oversize; euler_phi would factor n by trial division
+        real = groupkit.expr.euler_phi
+
+        def small_only(n):
+            if n > 4096:
+                raise AssertionError(f"phi({n}) computed for a Hol past the size cap")
+            return real(n)
+        monkeypatch.setattr(groupkit.expr, "euler_phi", small_only)
+        monkeypatch.setattr(groupkit.construct, "euler_phi", small_only)
+        n = text.split("Hol ")[1].split()[0]
+        with pytest.raises(SizeCapError, match=rf"^order at least {n} exceeds size cap 4096$"):
             parse_and_eval(text)
 
     def test_trivial_power_action_matches_direct_product(self):

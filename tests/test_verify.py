@@ -6,9 +6,14 @@ from pathlib import Path
 import pytest
 
 import groupkit.aut
+import groupkit.construct
 import groupkit.verify
-from groupkit.core import SizeCapError
+from groupkit.aut import aut_group, lambda_lift, zeta_lift
+from groupkit.construct import actions, cyclic, direct_product, semidirect
+from groupkit.core import SizeCapError, subgroup_generated
+from groupkit.expr import parse_and_eval
 from groupkit.verify import (
+    _greedy_generators,
     check_action_equivalence,
     check_aut_zn_mod4_structure,
     check_characteristic_theorems,
@@ -116,6 +121,87 @@ class TestIndividualChecks:
         assert any(i.startswith("thm6.3") for i in ids)
         assert any(i.startswith("prop5.3") for i in ids)
         assert "cor5.2.Z4xZ2" in ids
+
+
+def _full_and_generator_lift_verdicts(k, h, a):
+    """(every omega lifts, every psi-fixing delta lifts) for K x| H under a,
+    each by the full check and by check_characteristic_theorems' generators."""
+    g, aut_k, aut_h = semidirect(k, h, a), aut_group(k), aut_group(h)
+    psi = [mm.image for mm in a.maps]
+    fixing = [i for i, d in enumerate(aut_h.elements)
+              if all(psi[d.image[x]] == psi[x] for x in range(h.order))]
+    zeta_full = all(zeta_lift(omega, g)[1] for omega in aut_k.elements)
+    lambda_full = all(lambda_lift(aut_h.elements[i], g)[1] for i in fixing)
+    zeta_gens = _greedy_generators(aut_k.table, range(aut_k.table.order))
+    lambda_gens = _greedy_generators(aut_h.table, fixing)
+    zeta = all(zeta_lift(aut_k.elements[i], g)[1] for i in zeta_gens)
+    lamb = all(lambda_lift(aut_h.elements[i], g)[1] for i in lambda_gens)
+    return (zeta_full, lambda_full), (zeta, lamb)
+
+
+class TestCharacteristicSection:
+    def test_generator_lift_checks_match_the_full_checks(self):
+        pairs = list(groupkit.verify._coprime_pairs(60))
+        assert len(pairs) == 80
+        tried = 0
+        for m, n in pairs:
+            k, h = cyclic(m), cyclic(n, "s")
+            for a in actions(h, k):
+                full, by_generators = _full_and_generator_lift_verdicts(k, h, a)
+                assert by_generators == full == (True, True), (m, n)
+                tried += 1
+        assert tried == 145
+
+    def test_generator_lift_check_finds_a_failing_zeta_lift(self):
+        # Aut(Z2 x Z2) ~ S3, and a faithful Z3 acts by 3-cycles, which no
+        # transposition commutes with: some zeta lifts are not automorphisms
+        k, h = direct_product(cyclic(2), cyclic(2)), cyclic(3, "s")
+        faithful = [a for a in actions(h, k) if len({m.image for m in a.maps}) == 3]
+        assert faithful
+        for a in faithful:
+            full, by_generators = _full_and_generator_lift_verdicts(k, h, a)
+            assert full == by_generators == (False, True)
+
+    @pytest.mark.parametrize("expr", ["Z12", "D6", "Z2 x Z2 x Z2", "Hol 7", "Z8 : Z2 [r^5]"])
+    def test_greedy_generators_generate_every_candidate(self, expr):
+        table = aut_group(parse_and_eval(expr)).table
+        for candidates in (range(table.order), range(table.order - 1, -1, -1),
+                           subgroup_generated(table, [table.order - 1]).members):
+            kept = _greedy_generators(table, candidates)
+            assert set(kept) <= set(candidates)
+            assert len(kept) == len(set(kept))
+            assert set(candidates) <= set(subgroup_generated(table, kept).members)
+
+    def test_trivial_action_comes_first(self):
+        # prop5.3 reads |Aut(Z_m x Z_n)| from the product of acts[0]
+        for m, n in groupkit.verify._coprime_pairs(60):
+            k, h = cyclic(m), cyclic(n, "s")
+            assert semidirect(k, h, actions(h, k)[0]) == direct_product(k, h), (m, n)
+
+    def test_work_per_run(self, monkeypatch):
+        # 286 new chains, 998 zeta and 564 lambda lifts, and a second copy of
+        # each Z_m x Z_n before the K-copies were certified by element orders,
+        # the lifts checked on generators and prop5.3 read from acts[0]
+        chain, semi, counts = groupkit.aut._aut_chain, groupkit.construct.semidirect, [0, 0]
+
+        def counting_chain(g, cap):
+            counts[0] += "_aut_chain" not in vars(g)  # no chain cached on g yet
+            return chain(g, cap)
+
+        def counting_semidirect(*args, **kwargs):
+            counts[1] += 1
+            return semi(*args, **kwargs)
+
+        monkeypatch.setattr(groupkit.aut, "_aut_chain", counting_chain)
+        # direct_product calls construct's binding, the section its own
+        monkeypatch.setattr(groupkit.construct, "semidirect", counting_semidirect)
+        monkeypatch.setattr(groupkit.verify, "semidirect", counting_semidirect)
+        reports = check_characteristic_theorems(60)
+        assert all(r.status == "pass" for r in reports)
+        assert counts[0] <= 141
+        # one product per action of the 80 coprime pairs (145 actions), then
+        # D3, D4 and the 10 distinct direct products of the battery
+        assert counts[1] == 145 + 2 + 10
 
 
 class TestRunAll:

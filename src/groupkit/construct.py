@@ -112,13 +112,14 @@ def _check_size(order: int, size_cap: int) -> None:
         raise SizeCapError(f"order {order} exceeds size cap {size_cap}")
 
 
-def _check_hol_size(n: int, size_cap: int) -> None:
-    """SizeCapError when Hol n = Z_n x| Aut(Z_n), of order n*phi(n), would
-    pass size_cap. An n above the cap is refused before phi(n) factors n:
-    n*phi(n) >= n, so that order is oversize whatever phi(n) is."""
+def _check_hol_size(n: int, size_cap: int) -> int:
+    """n*phi(n), the order of Hol n = Z_n x| Aut(Z_n); SizeCapError when it
+    would pass size_cap. An n above the cap is refused before phi(n) factors
+    n: n*phi(n) >= n, so that order is oversize whatever phi(n) is."""
     if n > size_cap:
         raise SizeCapError(f"order at least {n} exceeds size cap {size_cap}")
-    _check_size(n * euler_phi(n), size_cap)
+    _check_size(order := n * euler_phi(n), size_cap)
+    return order
 
 
 def cyclic(n: int, gen: str = "r", size_cap: int = DEFAULT_SIZE_CAP) -> GroupTable:

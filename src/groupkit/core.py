@@ -7,7 +7,7 @@ from functools import cached_property
 from itertools import chain, combinations, islice
 from math import gcd
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence, Union
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 DEFAULT_SIZE_CAP = 4096
 
@@ -224,12 +224,13 @@ def identity_morphism(g: GroupTable) -> Morphism:
 class SubgroupRef:
     """A subgroup of `parent`, stored as a sorted tuple of element indices.
 
-    The set S is checked in O(|S| * d) products, d <= log2 |S|: it must hold
-    the identity, and S*b must lie in S for each of its greedy generators b,
-    the members in ascending order that lie outside the subgroup generated by
-    the ones before, grown by _coset_closure. That suffices in a group: S
-    then holds e*b_1*...*b_k for any such b_i, so it holds <B> for the set B
-    of them, and every member lies in <B> by the choice of B, so S = <B>.
+    The set S must hold the identity, and _greedy_walk over its members in
+    ascending order must end at |S| elements, in O(|<S>| * (d + 1)) products
+    for d <= log2 |<S>| kept members. In a group that last closure is <S>,
+    which holds S, so the sizes agree exactly when S = <S>. Otherwise the
+    witness (a, b) is the first kept b with some a*b outside S, and the least
+    such a; one exists, or S would hold e*b_1*...*b_k for all kept b_i, so
+    all of <S>.
     """
 
     parent: GroupTable
@@ -246,15 +247,12 @@ class SubgroupRef:
         object.__setattr__(self, "members", mem)
         if g.identity not in inside:
             raise ValueError("subgroup must contain the identity")
-        mul = g.mul
-        closure, gens = {g.identity}, []
-        for b in mem:
-            if b not in closure:
-                if not inside.issuperset([mul[a][b] for a in mem]):
-                    a = next(a for a in mem if mul[a][b] not in inside)
-                    raise ValueError(f"not closed under product at ({a}, {b})")
-                closure = _coset_closure(mul, closure, gens, b)
-                gens.append(b)
+        mul, closure, kept = g.mul, {g.identity}, []
+        for b, closure in _greedy_walk(mul, g.identity, mem):
+            kept.append(b)
+        if len(closure) != len(mem):
+            a, b = next((a, b) for b in kept for a in mem if mul[a][b] not in inside)
+            raise ValueError(f"not closed under product at ({a}, {b})")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -303,15 +301,13 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
     inverse, past any cell that holds the identity on one side only.
 
     Associativity is Light's test, O(d*n^2): (a*b)*c = a*(b*c) for all a, c
-    and each b kept by a walk over the elements: b is kept when it is not yet
-    listed, and the listing then grows by _coset_closure. That suffices in
-    any table, group or not: the b that pass form a set A holding e, and for
-    b, b' in A, (a*(bb'))*c = ((a*b)*b')*c = (a*b)*(b'*c) = a*(b*(b'*c)) =
-    a*((bb')*c), so A is closed under products. Each element the walk lists
-    is a product of listed ones (r*s or h*(r*s) there), so every b it skips
-    lies in the product closure of the kept ones, which A holds; so A is the
-    whole table. The walk ends because e*x = x for the identity checked
-    first. The witness fails but is not always the first.
+    and each b that _greedy_walk over the elements keeps, stopping at the
+    first that fails. That suffices in any table, group or not: the b that
+    pass form a set A holding e, and for b, b' in A, (a*(bb'))*c =
+    ((a*b)*b')*c = (a*b)*(b'*c) = a*(b*(b'*c)) = a*((bb')*c), so A is closed
+    under products. It holds the kept b, so their product closure, which is
+    the whole table (_greedy_walk). The witness fails but is not always the
+    first.
     """
     # rows as tuples, which compare equal to the tuples itemgetter returns
     if isinstance(candidate, GroupTable):
@@ -345,17 +341,13 @@ def verify_group_axioms(candidate: TableCandidate, identity: int | None = None) 
         except ValueError:
             return AxiomVerdict(False, "inverses", (x,), f"element {x} has no two-sided inverse")
 
-    have, kept = {e}, []
-    for b in range(n):
-        if b not in have:
-            have = _coset_closure(mul, have, kept, b)
-            kept.append(b)
-            a_bc = itemgetter(*mul[b])  # a_bc(mul[a])[c] = a*(b*c); n > 1 here
-            for a, ra in enumerate(mul):
-                if mul[ra[b]] != a_bc(ra):
-                    c = next(c for c in range(n) if mul[ra[b]][c] != ra[mul[b][c]])
-                    return AxiomVerdict(False, "associativity", (a, b, c),
-                                        f"(a*b)*c != a*(b*c) at a={a}, b={b}, c={c}")
+    for b, _ in _greedy_walk(mul, e, range(n)):
+        a_bc = itemgetter(*mul[b])  # a_bc(mul[a])[c] = a*(b*c); n > 1 here
+        for a, ra in enumerate(mul):
+            if mul[ra[b]] != a_bc(ra):
+                c = next(c for c in range(n) if mul[ra[b]][c] != ra[mul[b][c]])
+                return AxiomVerdict(False, "associativity", (a, b, c),
+                                    f"(a*b)*c != a*(b*c) at a={a}, b={b}, c={c}")
     return AxiomVerdict(True)
 
 
@@ -443,6 +435,25 @@ def _coset_closure(mul, subgroup: Collection[int], gens: Sequence[int], y: int) 
     return members
 
 
+def _greedy_walk(mul, identity: int, candidates: Iterable[int]) -> Iterator[tuple[int, set[int]]]:
+    """Yield (b, closure) for each candidate b outside the closure of the
+    ones kept before it; closure is that of the kept ones up to and
+    including b, grown from {identity} by _coset_closure.
+
+    Each element a closure lists is the identity or a product of listed ones
+    (r*s or h*(r*s) there), so in any table, group or not, every candidate
+    lies in the product closure of the kept ones. In a group the last
+    closure is <candidates>, {identity} when none is kept. A caller that
+    stops early pays only for the closures yielded.
+    """
+    closure, kept = {identity}, []
+    for b in candidates:
+        if b not in closure:
+            closure = _coset_closure(mul, closure, kept, b)
+            kept.append(b)
+            yield b, closure
+
+
 def grow_closure(mul, closed: Sequence[int], x: int, steps: list[Step], size: int) -> list[int]:
     """The closure of a product-closed set plus one element outside it, in BFS order.
 
@@ -504,19 +515,17 @@ def _compose_rows(order: int, identity: int,
 
 
 def subgroup_generated(g: GroupTable, gens: Iterable[int]) -> SubgroupRef:
-    """<gens>, grown one generator at a time by _coset_closure; ValueError for
-    a generator that is not an int or is a bool, IndexError for one out of range."""
+    """<gens>, the last closure of _greedy_walk over gens; ValueError for a
+    generator that is not an int or is a bool, IndexError for one out of range."""
     gens = list(gens)
     if bad := _bad_cell((gens,), g.order):
         x = gens[bad[1]]
         if isinstance(x, bool) or not isinstance(x, int):
             raise ValueError(f"generator {x!r} is not an element index")
         raise IndexError(f"generator index {x} out of range")
-    closure, used = {g.identity}, []
-    for x in gens:
-        if x not in closure:
-            closure = _coset_closure(g.mul, closure, used, x)
-            used.append(x)
+    closure = {g.identity}
+    for _, closure in _greedy_walk(g.mul, g.identity, gens):
+        pass
     return SubgroupRef(g, tuple(closure))
 
 

@@ -38,7 +38,7 @@ from .construct import (
     Action, _check_hol_size, _check_size, actions, cyclic, dihedral, direct_product, holomorph,
     power_action, semidirect)
 from .core import DEFAULT_SIZE_CAP, GroupTable
-from .numth import euler_phi, multiplicative_order
+from .numth import multiplicative_order
 
 
 class ExprError(Exception):
@@ -333,8 +333,7 @@ def _order(e: GroupExpr) -> int:
         if isinstance(e, (Product, Semidirect)):
             todo += (e.left, e.right) if isinstance(e, Product) else (e.k_expr, e.h_expr)
         elif isinstance(e, Holomorph):
-            _check_hol_size(e.n, DEFAULT_SIZE_CAP)
-            order *= euler_phi(e.n) * e.n
+            order *= _check_hol_size(e.n, DEFAULT_SIZE_CAP)
         elif isinstance(e, (Cyclic, Dihedral)):
             order *= (1 + isinstance(e, Dihedral)) * e.n
         else:

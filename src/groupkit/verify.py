@@ -11,11 +11,11 @@ import math
 import time
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable
 
 from .core import (
     GroupTable,
-    _coset_closure,
+    SubgroupRef,
+    _greedy_walk,
     kernel,
     subgroup_table,
     verify_group_axioms,
@@ -274,18 +274,6 @@ def _coprime_pairs(max_order: int):
                 yield m, n
 
 
-def _greedy_generators(table: GroupTable, candidates: Iterable[int]) -> list[int]:
-    """The candidates, in the order given, that lie outside the subgroup
-    generated by the ones kept before them, grown by _coset_closure; every
-    candidate lies in the subgroup the kept ones generate."""
-    closure, kept = {table.identity}, []
-    for x in candidates:
-        if x not in closure:
-            closure = _coset_closure(table.mul, closure, kept, x)
-            kept.append(x)
-    return kept
-
-
 def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
     """Coprime-order structure and lift criteria.
 
@@ -301,7 +289,7 @@ def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
     is the zeta lift of omega after that of omega', and each is a bijection,
     so the omega in Aut(K) whose lift is an automorphism are closed under
     composition: a subgroup of the finite group Aut(K). So every omega lifts
-    when the generators of Aut(K) that _greedy_generators keeps do, and one
+    when the generators of Aut(K) that core._greedy_walk keeps do, and one
     that fails is a counterexample. Likewise for lambda lifts on the subgroup
     F = {delta : psi after delta = psi} of Aut(H), one walk per action: the
     delta in F that lift form a subgroup of F, which is F when it holds F's
@@ -313,12 +301,14 @@ def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
         k, h = cyc(m), cyc(n, "s")
         acts = actions(h, k)
         aut_k, aut_h = aut_group(k), aut_group(h)
+        ak, ah = aut_k.table, aut_h.table
         zeta_gens = [aut_k.elements[i]
-                     for i in _greedy_generators(aut_k.table, range(aut_k.table.order))]
+                     for i, _ in _greedy_walk(ak.mul, ak.identity, range(ak.order))]
         char_ok = zeta_ok = lambda_ok = True
         products = [semidirect(k, h, a) for a in acts]
         for a, g in zip(acts, products):
-            char_ok &= is_characteristic(g, kh_copies(m, n, g)[0])
+            # the K-copy in the pair encoding, index k*n + h for (k, h)
+            char_ok &= is_characteristic(g, SubgroupRef(g, tuple(range(0, m * n, n))))
             # Aut of a cyclic group is abelian, so the image of any action
             # is central and every zeta lift must verify
             zeta_ok &= all(zeta_lift(omega, g)[1] for omega in zeta_gens)
@@ -326,7 +316,7 @@ def check_characteristic_theorems(max_order: int) -> list[VerifyReport]:
             fixing = (i for i, delta in enumerate(aut_h.elements)
                       if all(psi[delta.image[x]] == psi[x] for x in range(n)))
             lambda_ok &= all(lambda_lift(aut_h.elements[i], g)[1]
-                             for i in _greedy_generators(aut_h.table, fixing))
+                             for i, _ in _greedy_walk(ah.mul, ah.identity, fixing))
         rec.holds(f"thm6.4.m={m}.n={n}", f"Z{m}-copy characteristic in all {len(acts)} products",
                   char_ok, "not characteristic somewhere")
         # hom_set sorts by image array and the trivial map into Aut(K)'s table

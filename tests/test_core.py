@@ -1,5 +1,6 @@
 """Group tables, axiom checking, morphisms, subgroups."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -558,6 +559,22 @@ def _closed_by_scan(g: GroupTable, members) -> bool:
         inv[a] in mem and all(g.mul[a][b] in mem for b in mem) for a in mem)
 
 
+def _first_failure_by_scan(g: GroupTable, members):
+    """(a, b) for the first member b, ascending, outside the product closure
+    of the ones kept before it, with some a*b outside the set, and the least
+    such a; None when every kept b passes."""
+    mem, closure = sorted(set(members)), {g.identity}
+    for b in mem:
+        if b not in closure:
+            bad = [a for a in mem if g.mul[a][b] not in mem]
+            if bad:
+                return bad[0], b
+            grown = closure | {b}
+            while grown != closure:
+                closure, grown = grown, grown | {g.mul[x][y] for x in grown for y in grown}
+    return None
+
+
 def _root_counts_by_scan(g: GroupTable) -> Counter:
     return Counter((_order_by_powers(g, x), sum(1 for z in range(g.order) if g.mul[z][z] == x))
                    for x in range(g.order))
@@ -618,6 +635,19 @@ class TestGeneratorShortcuts:
                     SubgroupRef(g, members)
                 a, b = map(int, str(err.value).split("at (")[1].rstrip(")").split(", "))
                 assert a in members and b in members and g.mul[a][b] not in members
+
+    @pytest.mark.parametrize("g", _SHORTCUT_POOL, ids=repr)
+    def test_subgroup_witness_is_the_first_failing_kept_member(self, g):
+        rng = random.Random(g.order)
+        for _ in range(20):
+            members = {g.identity, *rng.sample(range(g.order), rng.randrange(g.order))}
+            expected = _first_failure_by_scan(g, members)
+            if expected is None:
+                assert SubgroupRef(g, tuple(members)).members == tuple(sorted(members))
+            else:
+                a, b = expected
+                with pytest.raises(ValueError, match=rf"^not closed under product at \({a}, {b}\)$"):
+                    SubgroupRef(g, tuple(members))
 
     def test_rejects_a_set_whose_first_element_multiplies_into_it(self):
         g = direct_product(cyclic(4), cyclic(2))  # index 2k + h: 1 = (0, 1), 2 = (1, 0)

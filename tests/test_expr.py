@@ -204,7 +204,7 @@ class TestEval:
 
     @pytest.mark.parametrize("text, order", [
         ("Z4096 x Z2", 8192), ("Z4096 : Z2 [#0]", 8192), ("(Z64 x Z64) : Z2 [#0]", 8192),
-        ("Z2 x (Z3 : Z2 [r^2]) x Z1024", 12288), ("D2049", 4098)])
+        ("Z2 x (Z3 : Z2 [r^2]) x Z1024", 12288), ("D2049", 4098), ("Z3 x Hol 64", 3 * 64 * 32)])
     def test_oversize_trees_refuse_before_any_table(self, monkeypatch, text, order):
         # the order of a tree follows from its leaves, so no factor is built first
         def refuse(*args, **kwargs):
@@ -219,13 +219,13 @@ class TestEval:
         "Z2 x Hol 4097", "(Hol 1000000000000000003 x Z2) : Z3 [#0]"])
     def test_hol_past_the_cap_refuses_before_phi(self, monkeypatch, text):
         # |Hol n| >= n, so n > 4096 is oversize; euler_phi would factor n by trial division
-        real = groupkit.expr.euler_phi
+        # expr reads n*phi(n) from construct._check_hol_size, so construct's euler_phi is guarded
+        real = groupkit.construct.euler_phi
 
         def small_only(n):
             if n > 4096:
                 raise AssertionError(f"phi({n}) computed for a Hol past the size cap")
             return real(n)
-        monkeypatch.setattr(groupkit.expr, "euler_phi", small_only)
         monkeypatch.setattr(groupkit.construct, "euler_phi", small_only)
         n = text.split("Hol ")[1].split()[0]
         with pytest.raises(SizeCapError, match=rf"^order at least {n} exceeds size cap 4096$"):

@@ -10,10 +10,9 @@ import groupkit.construct
 import groupkit.verify
 from groupkit.aut import aut_group, lambda_lift, zeta_lift
 from groupkit.construct import actions, cyclic, direct_product, semidirect
-from groupkit.core import SizeCapError, subgroup_generated
+from groupkit.core import SizeCapError, _greedy_walk, subgroup_generated
 from groupkit.expr import parse_and_eval
 from groupkit.verify import (
-    _greedy_generators,
     check_action_equivalence,
     check_aut_zn_mod4_structure,
     check_characteristic_theorems,
@@ -132,8 +131,9 @@ def _full_and_generator_lift_verdicts(k, h, a):
               if all(psi[d.image[x]] == psi[x] for x in range(h.order))]
     zeta_full = all(zeta_lift(omega, g)[1] for omega in aut_k.elements)
     lambda_full = all(lambda_lift(aut_h.elements[i], g)[1] for i in fixing)
-    zeta_gens = _greedy_generators(aut_k.table, range(aut_k.table.order))
-    lambda_gens = _greedy_generators(aut_h.table, fixing)
+    ak, ah = aut_k.table, aut_h.table
+    zeta_gens = [i for i, _ in _greedy_walk(ak.mul, ak.identity, range(ak.order))]
+    lambda_gens = [i for i, _ in _greedy_walk(ah.mul, ah.identity, fixing)]
     zeta = all(zeta_lift(aut_k.elements[i], g)[1] for i in zeta_gens)
     lamb = all(lambda_lift(aut_h.elements[i], g)[1] for i in lambda_gens)
     return (zeta_full, lambda_full), (zeta, lamb)
@@ -167,7 +167,11 @@ class TestCharacteristicSection:
         table = aut_group(parse_and_eval(expr)).table
         for candidates in (range(table.order), range(table.order - 1, -1, -1),
                            subgroup_generated(table, [table.order - 1]).members):
-            kept = _greedy_generators(table, candidates)
+            kept = []
+            for b, closure in _greedy_walk(table.mul, table.identity, candidates):
+                kept.append(b)
+                assert closure == set(subgroup_generated(table, kept).members)
+                assert {table.mul[x][y] for x in closure for y in closure} == closure
             assert set(kept) <= set(candidates)
             assert len(kept) == len(set(kept))
             assert set(candidates) <= set(subgroup_generated(table, kept).members)

@@ -9,6 +9,7 @@ not merely isomorphic to it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import aut as _aut
 from .core import (
@@ -19,13 +20,14 @@ from .core import (
     SubgroupRef,
     _compose_rows,
     _coset_closure,
+    _trusted,
     identity_morphism,
     is_normal,
     make_table,  # unused here; bench/test_bench.py checks that its tracer rewraps this binding
     subgroup_table,
 )
 from ._search import search_morphisms
-from .numth import euler_phi
+from .numth import euler_phi, multiplicative_order
 
 
 @dataclass(frozen=True)
@@ -42,9 +44,9 @@ class Action:
     maps[a] o maps[a'*b] = maps[a] o maps[a'] o maps[b] = maps[a*a'] o
     maps[b], by associativity in H and of composition. Every element of a
     finite group is a product of its generators (inverses are positive
-    powers), so that set is all of H. The actions this module assembles from
-    maps that are automorphisms by construction (trivial_action, actions,
-    holomorph, recognize_split) skip the check (_trusted_action).
+    powers), so that set is all of H. The actions this module builds as
+    actions by construction (trivial_action, power_action, actions,
+    holomorph, recognize_split) skip the check (core._trusted).
     """
 
     h_group: GroupTable
@@ -84,26 +86,33 @@ class SplitWitness:
     iso: Morphism
 
 
-def _trusted_action(h_group: GroupTable, k_group: GroupTable,
-                    maps: tuple[Morphism, ...]) -> Action:
-    """An Action without Action's check, for maps that its caller builds as
-    automorphisms of K with maps[a*b] = maps[a] o maps[b]."""
-    action = object.__new__(Action)
-    action.__dict__.update(h_group=h_group, k_group=k_group, maps=maps)
-    return action
-
-
 def trivial_action(h_group: GroupTable, k_group: GroupTable) -> Action:
     """Each h acting as the identity map, an automorphism with id o id = id."""
-    return _trusted_action(h_group, k_group, (identity_morphism(k_group),) * h_group.order)
+    return _trusted(Action, h_group, k_group, (identity_morphism(k_group),) * h_group.order)
 
 
 def power_action(h_group: GroupTable, k_group: GroupTable, i: int) -> Action:
-    """Cyclic H acting on cyclic K = Z_m, as cyclic() builds both, by r -> r^i."""
-    m = k_group.order
-    return Action(h_group, k_group, tuple(
+    """Z_n acting on Z_m, both labelled as cyclic() builds them, with 1 in
+    Z_n sending r to r^i; ValueError when no such action exists, in O(m + n).
+
+    A group with identity 0 and row 1 equal to 1, 2, ..., n-1, 0 has 1^x = x
+    for x < n, by induction, so x*y = 1^(x+y) = x + y mod n. A homomorphism
+    Z_n -> Aut(Z_m) sending 1 to x -> i*x exists exactly when gcd(i, m) = 1
+    and i^n = 1 mod m, as 1^n = 0 acts trivially; it sends t to maps[t],
+    x -> i^t * x. So the action skips Action's check (_trusted).
+    """
+    m, n = k_group.order, h_group.order
+    if any(t.identity or t.order > 1 and tuple(t.mul[1]) != (*range(1, t.order), 0)
+           for t in (h_group, k_group)):
+        raise ValueError("power_action needs H and K labelled as cyclic() builds them")
+    if gcd(i, m) != 1:
+        raise ValueError(f"r^{i} is not an automorphism of Z{m}: gcd({i}, {m}) != 1")
+    if pow(i, n, m) != 1 % m:  # 1 % m is 0 when m == 1
+        raise ValueError(f"r^{i} generates an automorphism of order {multiplicative_order(i, m)}"
+                         f" in Aut(Z{m}), which does not divide {n}, so Z{n} cannot act that way")
+    return _trusted(Action, h_group, k_group, tuple(
         Morphism(k_group, k_group, tuple(pow(i, t, m) * x % m for x in range(m)))
-        for t in range(h_group.order)))
+        for t in range(n)))
 
 
 def _check_size(order: int, size_cap: int) -> None:
@@ -192,9 +201,8 @@ def kh_copies(k_order: int, h_order: int, product: GroupTable) -> tuple[Subgroup
     """The K-copy and H-copy of a pair-encoded product as subgroup refs."""
     if product.order != k_order * h_order:
         raise ValueError("product order does not match k_order * h_order")
-    kc = SubgroupRef(product, tuple(kk * h_order for kk in range(k_order)))
-    hc = SubgroupRef(product, tuple(range(h_order)))
-    return kc, hc
+    return (SubgroupRef(product, tuple(range(0, product.order, h_order))),
+            SubgroupRef(product, tuple(range(h_order))))
 
 
 def hom_set(h: GroupTable, k: GroupTable, cap: int | None = 100_000) -> list[Morphism]:
@@ -208,7 +216,7 @@ def _actions_by_hom(h: GroupTable, k: GroupTable, aut_cap: int):
     ag = _aut.aut_group(k, cap=aut_cap)
     for hom in hom_set(h, ag.table):
         # a homomorphism into Aut(K)'s composition table: maps[a*b] = maps[a] o maps[b]
-        yield hom.image, _trusted_action(h, k, tuple(ag.elements[i] for i in hom.image))
+        yield hom.image, _trusted(Action, h, k, tuple(ag.elements[i] for i in hom.image))
 
 
 def actions(h: GroupTable, k: GroupTable, aut_cap: int = _aut.DEFAULT_AUT_CAP) -> list[Action]:
@@ -248,7 +256,7 @@ def holomorph(n: int, size_cap: int = DEFAULT_SIZE_CAP,
     k = cyclic(n, size_cap=size_cap)
     ag = _aut.aut_group(k, cap=aut_cap)
     # elements[i] o elements[j] = elements[table[i][j]], as aut_group builds the table
-    return semidirect(k, ag.table, _trusted_action(ag.table, k, ag.elements), size_cap=size_cap)
+    return semidirect(k, ag.table, _trusted(Action, ag.table, k, ag.elements), size_cap=size_cap)
 
 
 def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
@@ -256,13 +264,16 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
 
     Searches subgroups meeting K trivially by adding generators in ascending
     index order, pruning branches whose partial subgroup cannot sit inside a
-    complement. On success returns the conjugation action of H on K and a
-    verified isomorphism from the reconstructed semidirect product onto G.
+    complement. On success returns the conjugation action of H on K and the
+    isomorphism (k, h) -> k*h from the reconstructed semidirect product onto
+    G: it respects (k1, h1)(k2, h2) = (k1*h1*k2*h1^-1, h1*h2), is one-to-one
+    as K meets H in e, and so is onto, as |K|*|H| = |G|.
 
     G is a group (see GroupTable) and K is normal, so x -> h*x*h^-1 maps K
     onto K as an automorphism, and the map for h*h' is the map for h' followed
     by the map for h. The maps, read in the subgroup tables of K and H, are
-    therefore an action by construction (_trusted_action).
+    therefore an action by construction (core._trusted). H, a _coset_closure
+    of a subgroup and one element, skips SubgroupRef's check too.
     """
     if k.parent != g:
         raise ValueError("subgroup belongs to a different parent group")
@@ -292,22 +303,15 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
     del extend  # extend holds itself through its closure cell; free it without the cyclic GC
     if comp is None:
         return None
-    h_ref = SubgroupRef(g, tuple(comp))
+    h_ref = _trusted(SubgroupRef, g, tuple(sorted(comp)))
     k_table, k_embed = subgroup_table(g, k.members)
     h_table, h_embed = subgroup_table(g, h_ref.members)
     k_back = {x: i for i, x in enumerate(k_embed)}
     mul, inv = g.mul, g.inv
-    maps = []
-    for hh in h_embed:
-        hi = inv[hh]
-        maps.append(Morphism(k_table, k_table,
-                             tuple(k_back[mul[mul[hh][k_embed[x]]][hi]]
-                                   for x in range(k_table.order))))
-    action = _trusted_action(h_table, k_table, tuple(maps))
+    action = _trusted(Action, h_table, k_table, tuple(
+        Morphism(k_table, k_table, tuple(k_back[mul[mul[hh][x]][inv[hh]]] for x in k_embed))
+        for hh in h_embed))
     product = semidirect(k_table, h_table, action, size_cap=max(n, DEFAULT_SIZE_CAP))
     iso_img = tuple(mul[k_embed[p // h_table.order]][h_embed[p % h_table.order]]
                     for p in range(product.order))
-    iso = Morphism(product, g, iso_img)
-    if not iso.is_isomorphism():
-        raise RuntimeError("internal error: reconstructed product failed verification")
-    return SplitWitness(k, h_ref, action, iso)
+    return SplitWitness(k, h_ref, action, Morphism(product, g, iso_img))

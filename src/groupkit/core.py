@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, combinations, islice
 from math import gcd
@@ -16,6 +16,14 @@ Step = tuple[int, int, int]  # (p, x, y) with p = x*y
 
 class SizeCapError(Exception):
     """A construction or enumeration would exceed its configured cap."""
+
+
+def _trusted(cls, *values):
+    """The frozen dataclass cls with these field values, built without its
+    __post_init__ check; each caller's docstring says why the values pass it."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip([f.name for f in fields(cls)], values))
+    return obj
 
 
 @dataclass(frozen=True)
@@ -403,13 +411,14 @@ def center(g: GroupTable) -> SubgroupRef:
     """Z(G): the elements that commute with each generator, O(d*n) products.
 
     That suffices: the centraliser of z is a subgroup, so it is G once it
-    holds every generator.
+    holds every generator. Z(G) is a subgroup, listed in ascending order, so
+    its SubgroupRef skips the check (_trusted).
     """
     mul, members = g.mul, range(g.order)
     for x in g.gens_and_plans[0]:
         rx = mul[x]
         members = [z for z in members if mul[z][x] == rx[z]]
-    return SubgroupRef(g, tuple(members))
+    return _trusted(SubgroupRef, g, tuple(members))
 
 
 def _coset_closure(mul, subgroup: Collection[int], gens: Sequence[int], y: int) -> set[int]:
@@ -516,7 +525,9 @@ def _compose_rows(order: int, identity: int,
 
 def subgroup_generated(g: GroupTable, gens: Iterable[int]) -> SubgroupRef:
     """<gens>, the last closure of _greedy_walk over gens; ValueError for a
-    generator that is not an int or is a bool, IndexError for one out of range."""
+    generator that is not an int or is a bool, IndexError for one out of range.
+    That closure is a subgroup, so its SubgroupRef skips the check (_trusted).
+    """
     gens = list(gens)
     if bad := _bad_cell((gens,), g.order):
         x = gens[bad[1]]
@@ -526,7 +537,7 @@ def subgroup_generated(g: GroupTable, gens: Iterable[int]) -> SubgroupRef:
     closure = {g.identity}
     for _, closure in _greedy_walk(g.mul, g.identity, gens):
         pass
-    return SubgroupRef(g, tuple(closure))
+    return _trusted(SubgroupRef, g, tuple(sorted(closure)))
 
 
 def is_normal(g: GroupTable, h: SubgroupRef) -> bool:

@@ -21,8 +21,8 @@ operands and indexes the deterministic enumeration of all actions, which
 is stable for a given version of this package but not across versions.
 
 Syntax errors carry the character offset and the set of tokens that
-would have been accepted there.  Semantic errors (an exponent that is
-not coprime to the group order, an action index out of range) are only
+would have been accepted there.  Semantic errors (an action index out of
+range; for "[r^i]", the ValueError of construct.power_action) are only
 detected when the expression is evaluated to a table.
 """
 
@@ -31,14 +31,12 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, fields
 from itertools import chain, count
-from math import gcd
 from typing import Iterator, NoReturn, Union
 
 from .construct import (
     Action, _check_hol_size, _check_size, actions, cyclic, dihedral, direct_product, holomorph,
     power_action, semidirect)
 from .core import DEFAULT_SIZE_CAP, GroupTable
-from .numth import multiplicative_order
 
 
 class ExprError(Exception):
@@ -284,16 +282,10 @@ def _resolve_action(e: Semidirect, k_table: GroupTable, h_table: GroupTable) -> 
                 "the r^i action form needs cyclic groups on both sides of ':'; "
                 "use [#j] to pick an action for other operands"
             )
-        m, n, i = e.k_expr.n, e.h_expr.n, spec.i
-        if gcd(i, m) != 1:
-            raise ExprEvalError(
-                f"r^{i} is not an automorphism of Z{m}: gcd({i}, {m}) != 1")
-        order = multiplicative_order(i, m)
-        if n % order != 0:
-            raise ExprEvalError(
-                f"r^{i} generates an automorphism of order {order} in Aut(Z{m}), "
-                f"which does not divide {n}, so Z{n} cannot act that way")
-        return power_action(h_table, k_table, i)
+        try:
+            return power_action(h_table, k_table, spec.i)
+        except ValueError as exc:
+            raise ExprEvalError(str(exc)) from None
     choices = actions(h_table, k_table)
     if not 0 <= spec.j < len(choices):
         raise ExprEvalError(

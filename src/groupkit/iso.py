@@ -27,25 +27,21 @@ def _root_counts(g: GroupTable) -> Counter:
 
 
 def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:
-    """A verified isomorphism G1 -> G2, or None.
+    """An isomorphism G1 -> G2, or None.
 
     Cheap invariants, cached on each table and O(d*n) products each, run
     first: the order, the square-root counts by element order (_root_counts,
     which hold the order spectrum), then, for pairs those leave, the
     multiset of GroupTable._class_key, which adds class sizes and so |Z(G)|.
-    Only then does the backtracking search start; it alone decides the rest.
+    Only then does the search start and decide the rest; its map respects
+    products and keeps orders, so it is one-to-one (search_morphisms) and onto.
     """
     if g1.order != g2.order or _root_counts(g1) != _root_counts(g2):
         return None
     if Counter(g1._class_key) != Counter(g2._class_key):
         return None
     found = search_morphisms(g1, g2, bijective=True, first_only=True)
-    if not found:
-        return None
-    witness = Morphism(g1, g2, found[0])
-    if not witness.is_isomorphism():
-        raise RuntimeError("internal error: search returned a non-isomorphism")
-    return witness
+    return Morphism(g1, g2, found[0]) if found else None
 
 
 def abelian_invariants(g: GroupTable) -> list[int]:

@@ -1,13 +1,15 @@
 """Constructors: cyclic, dihedral, products, actions, holomorph, splits."""
 
 import gc
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupkit.aut
-import groupkit.construct
+import groupkit.core
 from groupkit.aut import aut_group, automorphisms
 from groupkit.construct import (
     Action,
@@ -29,14 +31,17 @@ from groupkit.core import (
     SizeCapError,
     SubgroupRef,
     center,
+    identity_morphism,
     is_abelian,
     make_table,
     subgroup_generated,
     subgroup_table,
     verify_group_axioms,
 )
-from groupkit.iso import are_isomorphic
+from groupkit.expr import ExprEvalError, parse_and_eval
+from groupkit.iso import are_isomorphic, identify
 from groupkit.numth import euler_phi
+from groupkit.verify import check_characteristic_theorems
 
 
 def _inversion_action(n: int):
@@ -478,24 +483,38 @@ def test_searches_leave_no_reference_cycles():
 
 
 def test_built_tables_and_actions_pass_the_full_checks(monkeypatch):
-    """Tables and actions built from checked parts, without make_table or
-    Action's check, against both: each table equals make_table of its rows
-    and passes verify_group_axioms, its derived inverses are two-sided, and
-    each action passes Action(...), recognize_split's conjugation actions on
-    the products' K-copies included."""
-    built_actions = []
-    trusted = groupkit.construct._trusted_action
+    """Tables, actions and subgroups built from checked parts, without
+    make_table, Action's check or SubgroupRef's, against all three: each
+    table equals make_table of its rows and passes verify_group_axioms, its
+    derived inverses are two-sided, and each value that core._trusted builds,
+    through any module's binding, passes its class's own check."""
+    built = []
+    trusted = groupkit.core._trusted
 
-    def recorded(*args):
-        built_actions.append(trusted(*args))
-        return built_actions[-1]
+    def recorded(cls, *values):
+        built.append(trusted(cls, *values))
+        return built[-1]
 
-    monkeypatch.setattr(groupkit.construct, "_trusted_action", recorded)
+    bindings = [m for name, m in sys.modules.items()
+                if name.startswith("groupkit") and getattr(m, "_trusted", None) is trusted]
+    assert {m.__name__ for m in bindings} >= {
+        "groupkit.core", "groupkit.construct", "groupkit.verify"}
+    for module in bindings:
+        monkeypatch.setattr(module, "_trusted", recorded)
+    rng = random.Random(0)
     small = ([cyclic(n, "s") for n in range(1, 7)] + [dihedral(n) for n in range(1, 5)]
              + [_shifted(cyclic(4)), _shifted(dihedral(3))])
     tables = [cyclic(n) for n in range(1, 41)] + [dihedral(n) for n in range(1, 31)]
     tables += [holomorph(n) for n in range(2, 17)]
     tables += [aut_group(g).table for g in small]
+    for m in range(1, 13):
+        for n in range(1, 7):
+            for i in range(m):
+                try:
+                    a = power_action(cyclic(n, "s"), cyclic(m), i)
+                except ValueError:
+                    continue
+                tables.append(semidirect(a.k_group, a.h_group, a))
     for k in small:
         for h in small:
             if k.order * h.order > 48:
@@ -507,14 +526,92 @@ def test_built_tables_and_actions_pass_the_full_checks(monkeypatch):
                 tables += [g, subgroup_table(g, center(g).members)[0],
                            subgroup_table(g, k_copy)[0]]
                 witness = recognize_split(g, SubgroupRef(g, tuple(k_copy)))
-                assert witness.action is built_actions[-1]  # checked by Action(...) below
+                # both checked by their classes below
+                assert (witness.complement, witness.action) == tuple(built[-2:])
                 if g.order <= 12:
                     tables.append(aut_group(g).table)
     for t in tables:
         assert t == make_table(t.mul, t.elem_names)
         assert verify_group_axioms(t).ok
         assert all(t.mul[x][y] == t.identity == t.mul[y][x] for x, y in enumerate(t.inv))
+        center(t)
+        subgroup_generated(t, rng.sample(range(t.order), rng.randint(0, min(3, t.order))))
+    check_characteristic_theorems(12)  # verify's K-copies
     assert len(tables) > 1000
+    built_actions = [v for v in built if isinstance(v, Action)]
+    built_subgroups = [v for v in built if isinstance(v, SubgroupRef)]
+    assert len(built_actions) + len(built_subgroups) == len(built)
     assert {a.h_group.order for a in built_actions} >= {1, 2, 4, 6, 8}
+    assert len(built_subgroups) > 2 * len(tables)
     for a in built_actions:
         assert Action(a.h_group, a.k_group, a.maps) == a
+    for ref in built_subgroups:
+        assert SubgroupRef(ref.parent, ref.members) == ref
+
+
+def _power_maps(h, k, i):
+    m = k.order
+    return tuple(Morphism(k, k, tuple(pow(i, t, m) * x % m for x in range(m)))
+                 for t in range(h.order))
+
+
+@pytest.mark.parametrize("m", range(1, 17))
+def test_power_action_refuses_exactly_what_the_action_check_refuses(m):
+    k = cyclic(m)
+    for n in range(2, 17):
+        h = cyclic(n, "s")
+        for i in range(-m, 2 * m):
+            try:
+                expected = Action(h, k, _power_maps(h, k, i))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    power_action(h, k, i)
+            else:
+                assert power_action(h, k, i) == expected
+
+
+def test_power_action_of_the_trivial_group_needs_r_to_r():
+    # Z1's generator is its identity, so r -> r^i is an action only for i = 1 mod m
+    h = cyclic(1, "s")
+    for m in range(1, 17):
+        k = cyclic(m)
+        for i in range(-m, 2 * m):
+            if (i - 1) % m:
+                with pytest.raises(ValueError):
+                    power_action(h, k, i)
+            else:
+                assert power_action(h, k, i).maps == (identity_morphism(k),)
+    with pytest.raises(ValueError) as refused:
+        power_action(h, cyclic(8), 3)
+    with pytest.raises(ExprEvalError) as refused_expr:
+        parse_and_eval("Z8 : Z1 [r^3]")
+    assert str(refused.value) == str(refused_expr.value) == (
+        "r^3 generates an automorphism of order 2 in Aut(Z8), "
+        "which does not divide 1, so Z1 cannot act that way")
+
+
+@pytest.mark.parametrize("other", [_shifted(cyclic(4)), dihedral(3),
+                                   direct_product(cyclic(2), cyclic(2))],
+                         ids=["shifted Z4", "D3", "Z2 x Z2"])
+def test_power_action_refuses_tables_outside_cyclic_labelling(other):
+    for h, k in ((other, cyclic(5)), (cyclic(2, "s"), other)):
+        with pytest.raises(ValueError, match="labelled as cyclic"):
+            power_action(h, k, 1)
+
+
+def test_package_built_actions_run_no_action_check(monkeypatch):
+    checked = []
+    check = Action.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(Action, "__post_init__", counted)
+    for n in range(3, 13):
+        dihedral(n)
+    parse_and_eval("Z8 : Z2 [r^3]")
+    identify(parse_and_eval("Hol 5"))
+    assert checked == []
+    k, h, act = _inversion_action(3)  # builds with Action(...), so the counter counts
+    assert checked == [act]

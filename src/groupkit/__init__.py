@@ -15,7 +15,6 @@ from .core import (
     SizeCapError,
     SubgroupRef,
     center,
-    element_order,
     identity_morphism,
     is_abelian,
     is_normal,
@@ -100,7 +99,6 @@ __all__ = [
     "cyclic",
     "dihedral",
     "direct_product",
-    "element_order",
     "euler_phi",
     "eval_expr",
     "factorize",

@@ -273,7 +273,8 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
     onto K as an automorphism, and the map for h*h' is the map for h' followed
     by the map for h. The maps, read in the subgroup tables of K and H, are
     therefore an action by construction (core._trusted). H, a _coset_closure
-    of a subgroup and one element, skips SubgroupRef's check too.
+    of a subgroup and one element, skips SubgroupRef's check too. K is a
+    subgroup, so |K| divides |G| (Lagrange) and q = |G|/|K| is exact.
     """
     if k.parent != g:
         raise ValueError("subgroup belongs to a different parent group")
@@ -281,9 +282,7 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
         raise ValueError("recognize_split requires a normal subgroup")
     n = g.order
     kset = set(k.members)
-    q, rem = divmod(n, len(k.members))
-    if rem:
-        raise ValueError("subgroup size does not divide group order")
+    q = n // len(k.members)
 
     def extend(members: set[int], gens: list[int], start: int) -> set[int] | None:
         if len(members) == q:
@@ -304,8 +303,8 @@ def recognize_split(g: GroupTable, k: SubgroupRef) -> SplitWitness | None:
     if comp is None:
         return None
     h_ref = _trusted(SubgroupRef, g, tuple(sorted(comp)))
-    k_table, k_embed = subgroup_table(g, k.members)
-    h_table, h_embed = subgroup_table(g, h_ref.members)
+    k_table, k_embed = subgroup_table(k)
+    h_table, h_embed = subgroup_table(h_ref)
     k_back = {x: i for i, x in enumerate(k_embed)}
     mul, inv = g.mul, g.inv
     action = _trusted(Action, h_table, k_table, tuple(

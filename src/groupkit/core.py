@@ -99,7 +99,8 @@ class GroupTable:
     @cached_property
     def _root_key(self) -> tuple[tuple[int, int], ...]:
         """(o(x), |{z : z*z = x}|) for each element x, from one pass over the
-        diagonal of mul; iso.are_isomorphic compares its multisets."""
+        diagonal of mul; iso.are_isomorphic compares its multisets, which an
+        isomorphism f keeps: o(f(x)) = o(x), and z*z = x iff f(z)*f(z) = f(x)."""
         roots = [0] * self.order
         for z, row in enumerate(self.mul):
             roots[row[z]] += 1
@@ -191,10 +192,10 @@ class Morphism:
         return respects_products(self.source, self.target, self.image)
 
     def is_bijective(self) -> bool:
-        """True when image has |source| = |target| distinct int entries, all in range."""
-        n, seen = self.source.order, set(self.image)
-        return (self.target.order == n == len(self.image) == len(seen)
-                and set(map(type, seen)) <= {int} and min(seen) >= 0 and max(seen) < n)
+        """True when image has |source| = |target| distinct element indices (_bad_cell)."""
+        n = self.source.order
+        return (self.target.order == n == len(self.image) == len(set(self.image))
+                and not _bad_cell((self.image,), n))
 
     def is_isomorphism(self) -> bool:
         return self.is_bijective() and self.is_homomorphism()
@@ -246,8 +247,7 @@ class SubgroupRef:
 
     def __post_init__(self):
         g, given = self.parent, tuple(self.members)
-        if not (set(map(type, given)) <= {int} and 0 <= min(given, default=0)
-                and max(given, default=0) < g.order) and (bad := _bad_cell((given,), g.order)):
+        if bad := _bad_cell((given,), g.order):
             raise ValueError(f"member {given[bad[1]]!r} is not an element index "
                              f"0..{g.order - 1}")
         inside = set(given)
@@ -284,10 +284,13 @@ TableCandidate = Union[GroupTable, Sequence[Sequence[int]]]
 
 def _bad_cell(mul: Sequence[Sequence[int]], n: int) -> tuple[int, int] | None:
     """The first cell (a, b) in row-major order whose entry is not an element
-    index, an int in 0..n-1 that is not a bool, or None when every one is."""
+    index, an int in 0..n-1 that is not a bool, or None when every one is;
+    the one index test. Int entries are ranged by the ends of their sorted set."""
     cells = chain.from_iterable
-    if set(map(type, cells(mul))) <= {int} and set(range(n)).issuperset(cells(mul)):
-        return None
+    if set(map(type, cells(mul))) <= {int}:
+        values = sorted(set(cells(mul)))  # faster than min and max of the set
+        if not values or 0 <= values[0] and values[-1] < n:
+            return None
     for a, row in enumerate(mul):  # a bad cell, or only an int subclass
         for b, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
@@ -375,17 +378,6 @@ def make_table(mul: Sequence[Sequence[int]], names: Sequence[str] | None = None)
     if len(names) != n:
         raise ValueError(f"{len(names)} names given for {n} elements")
     return GroupTable(n, rows, rows.index(tuple(range(n))), names)
-
-
-def element_order(g: GroupTable, x: int) -> int:
-    """Least k >= 1 with x^k = e, read from g.orders.
-
-    ValueError when the powers of some element of g miss the identity for |G|
-    steps: in a group every order divides |G|, so such a table is not one.
-    """
-    if not 0 <= x < g.order:
-        raise IndexError(f"element index {x} out of range for order-{g.order} group")
-    return g.orders[x]
 
 
 def order_spectrum(g: GroupTable) -> dict[int, int]:
@@ -559,16 +551,15 @@ def is_normal(g: GroupTable, h: SubgroupRef) -> bool:
     return True
 
 
-def subgroup_table(g: GroupTable, members: Iterable[int]) -> tuple[GroupTable, tuple[int, ...]]:
+def subgroup_table(h: SubgroupRef) -> tuple[GroupTable, tuple[int, ...]]:
     """Extract a subgroup as its own GroupTable.
 
     Returns (table, embed) where embed maps new indices to parent indices;
-    the identity lands at new index 0. SubgroupRef checks that the members
-    are closed under products, so every product of members is one, and
-    `back` renames it.
+    the identity lands at new index 0. h is closed (SubgroupRef(...) checked
+    it, or _trusted built it), so `back` renames every product of members.
     """
-    ref = SubgroupRef(g, tuple(members))
-    embed = [g.identity] + [x for x in ref.members if x != g.identity]
+    g = h.parent
+    embed = [g.identity] + [x for x in h.members if x != g.identity]
     back = {x: i for i, x in enumerate(embed)}
     mul = tuple(tuple(back[g.mul[a][b]] for b in embed) for a in embed)
     names = tuple(g.elem_names[x] for x in embed)

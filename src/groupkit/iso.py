@@ -17,26 +17,17 @@ from .numth import factorize, multiplicative_order, totatives
 SEMIDIRECT_POOL_LIMIT = 128
 
 
-def _root_counts(g: GroupTable) -> Counter:
-    """The multiset of (o(x), |{z : z*z = x}|) over the elements x, counted
-    from the table's cached key (GroupTable._root_key).
-
-    An isomorphism f keeps it: o(f(x)) = o(x), and z*z = x iff f(z)*f(z) = f(x).
-    """
-    return Counter(g._root_key)
-
-
 def are_isomorphic(g1: GroupTable, g2: GroupTable) -> Morphism | None:
     """An isomorphism G1 -> G2, or None.
 
     Cheap invariants, cached on each table and O(d*n) products each, run
-    first: the order, the square-root counts by element order (_root_counts,
-    which hold the order spectrum), then, for pairs those leave, the
-    multiset of GroupTable._class_key, which adds class sizes and so |Z(G)|.
-    Only then does the search start and decide the rest; its map respects
-    products and keeps orders, so it is one-to-one (search_morphisms) and onto.
+    first: the order, the multisets of GroupTable._root_key (square-root
+    counts by element order, which hold the order spectrum) and then of
+    GroupTable._class_key, which adds class sizes and so |Z(G)|. Only then
+    does the search start and decide the rest; its map respects products and
+    keeps orders, so it is one-to-one (search_morphisms) and onto.
     """
-    if g1.order != g2.order or _root_counts(g1) != _root_counts(g2):
+    if g1.order != g2.order or Counter(g1._root_key) != Counter(g2._root_key):
         return None
     if Counter(g1._class_key) != Counter(g2._class_key):
         return None

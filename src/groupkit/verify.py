@@ -119,7 +119,7 @@ def _index2_split_subgroup(g: GroupTable, target: GroupTable):
         if set(m.image) != {0, 1}:
             continue
         ker = kernel(m)
-        ker_table, _ = subgroup_table(g, ker.members)
+        ker_table, _ = subgroup_table(ker)
         if are_isomorphic(ker_table, target) is None:
             continue
         witness = recognize_split(g, ker)

@@ -139,7 +139,7 @@ def test_criterion_06_z8_z2_case_study():
             if set(quot_map.image) != {0, 1}:
                 continue
             k_ref = kernel(quot_map)
-            sub, _ = subgroup_table(aut_d8, k_ref.members)
+            sub, _ = subgroup_table(k_ref)
             if are_isomorphic(sub, z2_x_d4) is None:
                 continue
             split = recognize_split(aut_d8, k_ref)

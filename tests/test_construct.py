@@ -3,6 +3,7 @@
 import gc
 import random
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from groupkit.core import (
 from groupkit.expr import ExprEvalError, parse_and_eval
 from groupkit.iso import are_isomorphic, identify
 from groupkit.numth import euler_phi
-from groupkit.verify import check_characteristic_theorems
+from groupkit.verify import check_characteristic_theorems, run_all
 
 
 def _inversion_action(n: int):
@@ -264,6 +265,12 @@ class TestHomSet:
             hom_set(cyclic(6), cyclic(6), cap=3)
 
 
+def _power_units(n: int, m: int) -> set[int]:
+    """The u mod m with gcd(u, m) = 1 and u^n = 1 (mod m): Z_n acts on Z_m
+    by r -> r^u for exactly these u."""
+    return {u for u in range(m) if gcd(u, m) == 1 and pow(u, n, m) == 1 % m}
+
+
 class TestActions:
     @pytest.mark.parametrize(
         "h, k, count",
@@ -272,10 +279,16 @@ class TestActions:
             (cyclic(2), cyclic(8), 4),
             (cyclic(4), cyclic(5), 4),
             (cyclic(3), cyclic(4), 1),
-        ],
+        ] + [(cyclic(n), cyclic(m), len(_power_units(n, m)))
+             for m in range(1, 25) for n in range(1, 13)],
     )
     def test_known_counts(self, h, k, count):
-        assert len(actions(h, k)) == count
+        acts = actions(h, k)
+        assert len(acts) == count
+        if h.order >= 2:
+            # the image of r under the generator of Z_n: r itself when m = 1
+            m = k.order
+            assert {a.maps[1].image[1 % m] for a in acts} == _power_units(h.order, m)
 
     def test_first_action_is_trivial(self):
         acts = actions(cyclic(2), cyclic(8))
@@ -523,9 +536,9 @@ def test_built_tables_and_actions_pass_the_full_checks(monkeypatch):
             for a in actions(h, k):
                 g = semidirect(k, h, a)
                 k_copy = [x * h.order + h.identity for x in range(k.order)]
-                tables += [g, subgroup_table(g, center(g).members)[0],
-                           subgroup_table(g, k_copy)[0]]
-                witness = recognize_split(g, SubgroupRef(g, tuple(k_copy)))
+                k_ref = SubgroupRef(g, tuple(k_copy))
+                tables += [g, subgroup_table(center(g))[0], subgroup_table(k_ref)[0]]
+                witness = recognize_split(g, k_ref)
                 # both checked by their classes below
                 assert (witness.complement, witness.action) == tuple(built[-2:])
                 if g.order <= 12:
@@ -547,6 +560,42 @@ def test_built_tables_and_actions_pass_the_full_checks(monkeypatch):
         assert Action(a.h_group, a.k_group, a.maps) == a
     for ref in built_subgroups:
         assert SubgroupRef(ref.parent, ref.members) == ref
+
+
+def _count_subgroup_checks(monkeypatch) -> list[str]:
+    """Patch SubgroupRef's check to record, per call, the name of the
+    function that called SubgroupRef(...); returns the record."""
+    callers = []
+    check = SubgroupRef.__post_init__
+
+    def counted(self):
+        callers.append(sys._getframe(2).f_code.co_name)  # past the dataclass __init__
+        check(self)
+
+    monkeypatch.setattr(SubgroupRef, "__post_init__", counted)
+    return callers
+
+
+def test_held_subgroups_are_not_checked_again(monkeypatch):
+    rotations = [SubgroupRef(g, tuple(range(0, g.order, 2)))
+                 for g in (dihedral(n) for n in range(3, 13))]
+    callers = _count_subgroup_checks(monkeypatch)
+    for ref in rotations:
+        table, embed = subgroup_table(ref)
+        assert table.order == len(ref) and sorted(embed) == list(ref.members)
+        witness = recognize_split(ref.parent, ref)
+        assert witness.iso.is_isomorphism() and len(witness.complement) == 2
+    assert callers == []
+    SubgroupRef(dihedral(3), (0, 2, 4))  # the counter itself sees a check
+    assert callers == ["test_held_subgroups_are_not_checked_again"]
+
+
+def test_default_verify_run_checks_only_the_subgroups_it_finds(monkeypatch):
+    # kernels and K-copies are checked where they are made; each ref is then
+    # handed on (to subgroup_table, recognize_split) without a second check
+    callers = _count_subgroup_checks(monkeypatch)
+    assert run_all()[1].failed == 0
+    assert len(callers) == 26 and set(callers) == {"kernel", "kh_copies"}
 
 
 def _power_maps(h, k, i):

@@ -25,7 +25,6 @@ from groupkit.core import (
     SubgroupRef,
     _compose_rows,
     center,
-    element_order,
     grow_closure,
     identity_morphism,
     is_abelian,
@@ -40,7 +39,7 @@ from groupkit.core import (
     verify_group_axioms,
 )
 from groupkit.expr import parse_and_eval
-from groupkit.iso import _root_counts, are_isomorphic
+from groupkit.iso import are_isomorphic
 
 Z2_MUL = [[0, 1], [1, 0]]
 Z3_MUL = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -160,6 +159,13 @@ class TestMakeTable:
             pass
         z2 = make_table([[IntLike(0), IntLike(1)], [IntLike(1), IntLike(0)]])
         assert z2.identity == 0 and z2.inv == (0, 1)
+        # the one index test accepts them as members, generators and images too
+        g = cyclic(4)
+        assert SubgroupRef(g, (IntLike(0), IntLike(2))).members == (0, 2)
+        assert subgroup_generated(g, [IntLike(2)]).members == (0, 2)
+        ident = Morphism(g, g, tuple(map(IntLike, range(4))))
+        assert ident.is_bijective() and ident.is_isomorphism()
+        assert Action(z2, g, (ident, ident)).maps == (ident, ident)
 
     def test_rejects_entries_outside_the_index_range(self):
         with pytest.raises(ValueError, match="outside"):
@@ -189,16 +195,13 @@ class TestMakeTable:
 class TestElementOrders:
     def test_orders_in_z6(self):
         g = cyclic(6)
-        assert element_order(g, 0) == 1
-        assert element_order(g, 1) == 6
-        assert element_order(g, 2) == 3
-        assert element_order(g, 3) == 2
+        assert g.orders == (1, 6, 3, 2, 3, 6)
 
     def test_orders_in_d4(self):
         g = dihedral(4)
         # pair encoding (k, h) -> 2k + h: index 2 is the rotation r
-        assert element_order(g, 2) == 4
-        assert element_order(g, 1) == 2
+        assert g.orders[2] == 4
+        assert g.orders[1] == 2
 
     def test_powers_that_miss_the_identity_raise(self):
         # identity 0 and inverses exist, but 1*1 = 1, so 1^k = 1 for every k;
@@ -208,7 +211,7 @@ class TestElementOrders:
         with pytest.raises(ValueError, match="element 1"):
             g.orders
         with pytest.raises(ValueError, match="element 1"):
-            element_order(g, 2)  # 2*2 = 0, but the table's orders are read as a whole
+            g.inv  # 2*2 = 0, but the orders and inverses are read as a whole
 
     @pytest.mark.parametrize(
         "g, spectrum",
@@ -225,7 +228,7 @@ class TestElementOrders:
         for g in _groups_pool():
             assert sum(order_spectrum(g).values()) == g.order
 
-    def test_element_orders_divide_group_order(self):
+    def test_orders_divide_group_order(self):
         for g in _groups_pool():
             assert all(g.order % d == 0 for d in g.orders)
 
@@ -262,7 +265,7 @@ class TestSubgroups:
 
     @pytest.mark.parametrize("members, bad", [
         ((0, True, 2, 3), "True"), ((0, 2.0), "2.0"), ((0, "a"), "'a'"),
-        ((0, 4), "4"), ((-1, 0), "-1")])
+        ((0, 4), "4"), ((-1, 0), "-1"), ((0, 1.0), "1.0"), ((0, "x"), "'x'")])
     def test_members_must_be_element_indices(self, members, bad):
         # True == 1 and 2.0 == 2 pass a range test, and 'a' does not sort with ints
         with pytest.raises(ValueError, match=rf"^member {bad} is not an element index 0..3$"):
@@ -270,7 +273,7 @@ class TestSubgroups:
 
     def test_generators_must_be_element_indices(self):
         g = cyclic(4)
-        for x in (True, 2.0, "a"):
+        for x in (True, 2.0, "a", 1.0, "x"):
             with pytest.raises(ValueError, match="is not an element index"):
                 subgroup_generated(g, [0, x])
         for x in (-1, 4):
@@ -304,29 +307,29 @@ class TestSubgroups:
         # x, y of order 2 with xy = yx and distinct generate a 4-element subgroup
         g = direct_product(cyclic(2), cyclic(2))
         x, y = 1, 2
-        assert element_order(g, x) == element_order(g, y) == 2
+        assert g.orders[x] == g.orders[y] == 2
         assert g.mul[x][y] == g.mul[y][x]
         h = subgroup_generated(g, [x, y])
         assert len(h) == 4
-        assert order_spectrum(subgroup_table(g, h.members)[0]) == {1: 1, 2: 3}
+        assert order_spectrum(subgroup_table(h)[0]) == {1: 1, 2: 3}
 
     def test_noncommuting_involutions_span_a_dihedral_subgroup(self):
         # in D6, a reflection and a rotated reflection generate a dihedral
         # subgroup of order twice the order of their product
         g = dihedral(6)
         x, y = 1, 5  # s and r^2 s
-        assert element_order(g, x) == element_order(g, y) == 2
-        prod_order = element_order(g, g.mul[x][y])
+        assert g.orders[x] == g.orders[y] == 2
+        prod_order = g.orders[g.mul[x][y]]
         h = subgroup_generated(g, [x, y])
         assert len(h) == 2 * prod_order
-        sub, _ = subgroup_table(g, h.members)
+        sub, _ = subgroup_table(h)
         assert are_isomorphic(sub, dihedral(prod_order)) is not None
 
 
 class TestSubgroupTable:
     def test_rotations_of_d4_form_z4(self):
         g = dihedral(4)
-        sub, embed = subgroup_table(g, (0, 2, 4, 6))
+        sub, embed = subgroup_table(SubgroupRef(g, (0, 2, 4, 6)))
         assert sub.order == 4
         assert sub.identity == 0
         assert are_isomorphic(sub, cyclic(4)) is not None
@@ -351,13 +354,13 @@ class TestMorphisms:
 
     def test_malformed_images_are_not_bijections(self):
         z2, z3 = cyclic(2), cyclic(3)
-        for image in ((0, 1, 0), (0,), (0, -1), (0, 5)):
+        for image in ((0, 1, 0), (0,), (0, -1), (0, 2), (0, 5)):
             assert not Morphism(z2, z2, image).is_bijective()
         assert not Morphism(z2, z2, (0, 5)).is_isomorphism()
         with pytest.raises(ValueError, match=r"maps\[1\] is not an automorphism of K"):
             Action(z2, z3, (identity_morphism(z3), Morphism(z3, z3, (0, 2, 7))))
 
-    @pytest.mark.parametrize("image", [(0, 0.5), (0, 1.0)])
+    @pytest.mark.parametrize("image", [(0, 0.5), (0, 1.0), (0, True), (0, "x")])
     def test_non_integer_images_are_not_bijections(self, image):
         z2 = cyclic(2)
         assert not Morphism(z2, z2, image).is_bijective()
@@ -575,7 +578,7 @@ def _first_failure_by_scan(g: GroupTable, members):
     return None
 
 
-def _root_counts_by_scan(g: GroupTable) -> Counter:
+def _root_key_counts_by_scan(g: GroupTable) -> Counter:
     return Counter((_order_by_powers(g, x), sum(1 for z in range(g.order) if g.mul[z][z] == x))
                    for x in range(g.order))
 
@@ -611,7 +614,7 @@ class TestGeneratorShortcuts:
         assert g.inv == _inverses_by_scan(g)
         assert is_abelian(g) == _abelian_by_scan(g)
         assert center(g).members == _center_by_scan(g)
-        assert _root_counts(g) == _root_counts_by_scan(g)
+        assert Counter(g._root_key) == _root_key_counts_by_scan(g)
         assert [key[:2] for key in g._class_key] == list(g._root_key)
         assert [key[2] for key in g._class_key] == _class_sizes_by_scan(g)
 

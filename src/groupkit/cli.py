@@ -15,6 +15,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from functools import cache
@@ -219,8 +220,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; return its exit code.
+
+    The handler runs with the cyclic garbage collector paused, and the
+    caller's setting is restored however it ends. The package makes no
+    reference cycles, so reference counting frees all a command drops and the
+    pause defers no reclamation; a pass inside a command would only
+    re-traverse the live table rows it has just built. The setting is
+    process-wide, so library calls leave it to their callers.
+    """
     args = _build_parser().parse_args(argv)
     handler = globals()["_cmd_" + args.command.replace("-", "_")]
+    enabled = gc.isenabled()
+    if enabled:
+        gc.disable()
     try:
         return handler(args)
     except ExprError as exc:
@@ -229,6 +242,9 @@ def main(argv: list[str] | None = None) -> int:
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

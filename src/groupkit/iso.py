@@ -149,7 +149,10 @@ def _factorings(order: int, spec: dict[int, int] | None = None):
                             and (not goal or tuple(map(mul, n_a, n_of(b))) == goal))
                 yield from ([(d, a), *more] for more in walk(rest // d, (d, i), n_a))
 
-    yield from walk(order, (2, 0), (1,) * len(divisors))
+    try:
+        yield from walk(order, (2, 0), (1,) * len(divisors))
+    finally:
+        del walk  # walk holds itself through its closure cell; free it without the cyclic GC
 
 
 def identify(g: GroupTable) -> CatalogName:

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import gc
 import json
 import os
 import subprocess
@@ -241,6 +242,92 @@ class TestCachedParser:
         assert main(["aut", "Z5"]) == 7
         assert seen == ["Z5"]
         assert groupkit.cli._build_parser() is groupkit.cli._build_parser()
+
+
+@pytest.fixture
+def collector_state():
+    """Yield a setter for the collector's state; restore the state the test began with."""
+    was_enabled = gc.isenabled()
+
+    def set_state(enabled):
+        (gc.enable if enabled else gc.disable)()
+
+    yield set_state
+    set_state(was_enabled)
+
+
+@pytest.fixture
+def collector_passes():
+    """A list that gains one entry per collector pass until the test ends,
+    counted from an empty young generation."""
+    gc.collect()
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(count)
+    yield passes
+    gc.callbacks.remove(count)
+
+
+class TestCollector:
+    """main runs each handler with the cyclic collector paused, and no command
+    leaves cyclic garbage for it to find."""
+
+    BATTERY = [["info", "Z8 : Z2 [r^3]"], ["aut", "D16"], ["aut", "D4", "--json"],
+               ["iso", "D4", "Z2 x Z4"], ["iso", "Z2 x Z3", "Z6"], ["identify", "Hol 11"],
+               ["table", "D3"], ["table", "D3", "--json"], ["homs", "--actions", "Z4", "D4"],
+               ["verify-paper", "--max-n", "4"], ["info", "Z8 x"], ["aut", "Z64 x Z32"]]
+    EXITS = [(["info", "Z6"], 0), (["iso", "Z6", "D3"], 1), (["info", "Z8 x"], 2),
+             (["info", "Hol 4096"], 3)]
+
+    def test_no_command_leaves_cyclic_garbage(self, capsys, collector_state):
+        groupkit.cli._build_parser()  # its first build leaves argparse's own cycles
+        gc.collect()
+        collector_state(False)
+        codes = []
+        for argv in self.BATTERY:
+            codes.append(main(argv))
+            assert gc.collect() == 0, argv
+        assert codes == [0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2, 3]
+
+    def test_the_handler_runs_with_the_collector_paused(self, capsys, monkeypatch,
+                                                        collector_state):
+        seen = []
+        monkeypatch.setattr(groupkit.cli, "_cmd_info", lambda args: seen.append(gc.isenabled()))
+        collector_state(True)
+        main(["info", "Z2"])
+        assert seen == [False]
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("argv, code", EXITS)
+    def test_main_restores_the_callers_setting(self, capsys, collector_state,
+                                               enabled, argv, code):
+        collector_state(enabled)
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_raising_handler_restores_the_setting(self, monkeypatch, collector_state,
+                                                    enabled):
+        def fail(args):
+            raise RuntimeError("handler failed")
+
+        monkeypatch.setattr(groupkit.cli, "_cmd_info", fail)
+        collector_state(enabled)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            main(["info", "Z2"])
+        assert gc.isenabled() is enabled
+
+    def test_aut_runs_no_collector_pass(self, capsys, collector_state, collector_passes):
+        collector_state(True)
+        # read the count before any new object can start a pass: once enabled again,
+        # the collector runs on the next allocation
+        code, passes = main(["aut", "Hol 16"]), len(collector_passes)
+        assert (code, passes) == (0, 0)
 
 
 class TestConsoleScript:

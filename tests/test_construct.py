@@ -484,7 +484,8 @@ def test_searches_leave_no_reference_cycles():
     calls = [lambda: hom_set(z6, z6), lambda: are_isomorphic(hol, hol),
              lambda: automorphisms(dihedral(6)),
              lambda: recognize_split(d8, subgroup_generated(d8, [2])),
-             lambda: recognize_split(cyclic(4), subgroup_generated(cyclic(4), [2]))]
+             lambda: recognize_split(cyclic(4), subgroup_generated(cyclic(4), [2])),
+             lambda: identify(aut_group(dihedral(16)).table)]  # walks the whole catalog
     gc.collect()
     gc.disable()
     try:

@@ -12,7 +12,7 @@ from operator import mul
 from .core import GroupTable, Morphism, is_abelian, order_spectrum
 from ._search import search_morphisms
 from .expr import parse_and_eval
-from .numth import factorize, multiplicative_order, totatives
+from .numth import factorize, totatives
 
 SEMIDIRECT_POOL_LIMIT = 128
 
@@ -82,59 +82,45 @@ def _basic_pool(order: int):
             if order % m:
                 continue
             n = order // m
-            # r -> r^i needs i coprime to m, i != 1, and its order mod m dividing |H| = n
+            # r -> r^i needs i coprime to m, i != 1, and i^n = 1 mod m, as in power_action
             for i in totatives(m)[1:]:
-                if n % multiplicative_order(i, m) == 0:
+                if pow(i, n, m) == 1:
                     yield CatalogName("semidirect-cyclic", (m, n, i), f"Z{m} : Z{n} [r^{i}]")
 
 
-def _spectrum(name: CatalogName) -> Counter:
-    """The order spectrum of a name from _basic_pool, in closed form.
+def _counts(name: CatalogName, ks) -> tuple[int, ...]:
+    """N_k = |{x : x^k = e}| of a name from _basic_pool for each k in ks, in
+    closed form.
 
     Each basic name is Z_m x| Z_n with s acting by r -> r^i: cyclic is
     n = 1, dihedral D_k is m = k, n = 2, i = -1. An element (a, t) = r^a s^t
-    has powers (a, t)^j = (a * (1 + u + ... + u^(j-1)), j*t) with u = i^t
-    mod m. Its H-part is trivial exactly when q = n / gcd(n, t) divides j, and
-    (a, t)^q = (a*S, 0) with S = 1 + u + ... + u^(q-1), whose order in Z_m is
-    m / gcd(m, a*S). So (a, t) has order q times the order of a*S in Z_m.
-
-    With g = gcd(m, S), a -> a*S is a homomorphism of Z_m onto its subgroup
-    of multiples of g, cyclic of order m/g, with a kernel of g elements; so it
-    hits each multiple exactly g times. That subgroup has phi(e) elements of
-    order e for each e dividing m/g, so g*phi(e) elements (a, t) of order q*e.
+    has (a, t)^k = (a*S, k*t) with S = 1 + u + ... + u^(k-1), u = i^t mod m.
+    That is e exactly when n / gcd(n, k) divides t and m divides a*S, which
+    gcd(m, S) of the a in Z_m do. S is k when u = 1, and otherwise
+    (u^k - 1)/(u - 1), whose numerator is read mod m*(u - 1) so that the
+    quotient is S mod m. So each N_k is a sum of gcd(n, k) terms.
     """
     m, n, i = name.params if name.kind == "semidirect-cyclic" else (
         name.params[0], 1 if name.kind == "cyclic" else 2, -1)
-    phi = {1: 1}  # divisor e of m -> phi(e), one prime power of m at a time
-    for p, k in factorize(m):
-        phi = {e * p**j: f * (p - 1) * p**(j - 1) if j else f
-               for e, f in phi.items() for j in range(k + 1)}
-    spec: Counter = Counter()
-    for t in range(n):
-        q, u, s, power = n // gcd(n, t), pow(i, t, m), 0, 1
-        for _ in range(q):
-            s, power = s + power, power * u % m
-        g = gcd(m, s)
-        spec.update({q * e: g * f for e, f in phi.items() if m // g % e == 0})
-    return spec
+
+    def s(u, k):  # 1 % m is 0 when m == 1
+        return k if u == 1 % m else (pow(u, k, m * (u - 1)) - 1) // (u - 1)
+
+    return tuple(sum(gcd(m, s(pow(i, t, m), k)) for t in range(0, n, n // gcd(n, k))) for k in ks)
 
 
-def _factorings(order: int, spec: dict[int, int] | None = None):
+def _factorings(order: int, goal: tuple[int, ...] | None = None):
     """Lists [(order, basic name), ...] of two or more factors whose orders
     multiply to order, each multiset once, ascending in (order, _basic_pool
     index), in the first-occurrence order of the walk over each divisor d,
     d*d <= order, each name a of order d, then each name and each list of
-    order order // d. With spec, only lists whose product has that order
-    spectrum: N_k = |{x : x^k = e}|, k | order, multiplies over direct
-    factors, so a prefix whose N_k does not divide spec's has no match, and
-    equal N_k for all k is an equal spectrum, as N_k sums it over k's divisors.
+    order order // d. With goal, the counts N_k = |{x : x^k = e}| for each
+    k | order, ascending, only lists whose product has those counts: N_k
+    multiplies over direct factors, so a prefix whose N_k does not divide
+    goal's has no match.
     """
-    divisors = [k for k in range(1, order + 1) if order % k == 0]
-
-    def counts(s):
-        return tuple(sum(c for d, c in s.items() if k % d == 0) for k in divisors)
-
-    goal, n_of = spec and counts(spec), cache(lambda name: counts(_spectrum(name)))
+    ks = [k for k in range(1, order + 1) if order % k == 0]
+    n_of = cache(lambda name: _counts(name, ks))
 
     def walk(rest, least, got):
         for d in range(least[0], isqrt(rest) + 1):
@@ -150,7 +136,7 @@ def _factorings(order: int, spec: dict[int, int] | None = None):
                 yield from ([(d, a), *more] for more in walk(rest // d, (d, i), n_a))
 
     try:
-        yield from walk(order, (2, 0), (1,) * len(divisors))
+        yield from walk(order, (2, 0), (1,) * len(ks))
     finally:
         del walk  # walk holds itself through its closure cell; free it without the cyclic GC
 
@@ -165,13 +151,15 @@ def identify(g: GroupTable) -> CatalogName:
 
     An abelian group is named from its element orders by abelian_invariants,
     whose O(d^2) commutativity test is the only one identify runs, with no
-    search. For the rest, one loop walks the candidates in that order: the
-    dihedral and semidirect names whose closed-form spectrum (_spectrum) is
-    G's, and between them the factor multisets _factorings lists for G's
-    spectrum, each once, pruned by the counts N_k of its prefixes. Only then
-    is a table built, by parse_and_eval of the display the candidate would
-    return, and searched; so the name is the text of the group that matched.
-    Neither skip changes the answer.
+    search. For the rest, one loop walks the candidates in that order, each
+    filtered by G's counts N_k = |{x : x^k = e}| for k | |G|, which sum the
+    order spectrum over k's divisors and so hold it: the dihedral and
+    semidirect names whose closed-form counts (_counts) are G's, and between
+    them the factor multisets _factorings lists for those counts, each once,
+    pruned by the counts of its prefixes. Only then is a table built, by
+    parse_and_eval of the display the candidate would return, and searched;
+    so the name is the text of the group that matched. Neither skip changes
+    the answer.
     """
     n = g.order
     if max(g.orders) == n:
@@ -183,11 +171,13 @@ def identify(g: GroupTable) -> CatalogName:
     else:
         return CatalogName("abelian-product", invs, " x ".join(f"Z{d}" for d in invs))
     basics, spec = list(_basic_pool(n)), order_spectrum(g)
+    ks = [k for k in range(1, n + 1) if n % k == 0]
+    goal = tuple(sum(c for d, c in spec.items() if k % d == 0) for k in ks)
 
     def singles(kind):
-        return ([(n, b)] for b in basics if b.kind == kind and _spectrum(b) == spec)
+        return ([(n, b)] for b in basics if b.kind == kind and _counts(b, ks) == goal)
 
-    for factors in chain(singles("dihedral"), _factorings(n, spec), singles("semidirect-cyclic")):
+    for factors in chain(singles("dihedral"), _factorings(n, goal), singles("semidirect-cyclic")):
         factors.sort(key=lambda f: (f[0], f[1].display))
         display = " x ".join(name.display for _, name in factors)
         if are_isomorphic(g, parse_and_eval(display)):

@@ -70,6 +70,10 @@ class TestIso:
         assert main(["iso", "Z4", "Z2 x Z2"]) == 1
         assert capsys.readouterr().out.strip() == "not isomorphic"
 
+    def test_trivial_pair_has_no_generators_to_map(self, capsys):
+        assert main(["iso", "Z1", "Z1"]) == 0
+        assert capsys.readouterr().out == "isomorphic; both groups are trivial\n"
+
 
 class TestIdentify:
     @pytest.mark.parametrize(
@@ -331,13 +335,15 @@ class TestCollector:
 
 
 class TestConsoleScript:
-    def test_installed_entry_point(self):
+    @pytest.mark.parametrize("argv, first_line", [
+        (["identify", "Z6"], "Z6"), (["info", "Z2"], "order: 2")])
+    def test_installed_entry_point(self, argv, first_line):
         # run the package these tests import, installed or not
         package_root = str(Path(groupkit.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
-            [sys.executable, "-m", "groupkit.cli", "identify", "Z6"],
+            [sys.executable, "-m", "groupkit.cli", *argv],
             capture_output=True, text=True, check=False,
             env={**os.environ, "PYTHONPATH": path})
         assert result.returncode == 0
-        assert result.stdout.strip() == "Z6"
+        assert result.stdout.splitlines()[0] == first_line

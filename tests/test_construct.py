@@ -77,6 +77,10 @@ class TestCyclic:
 
 
 class TestDihedral:
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError, match="^dihedral parameter must be >= 1, got 0$"):
+            dihedral(0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 9])
     def test_order_and_axioms(self, n):
         g = dihedral(n)
@@ -166,6 +170,21 @@ class TestSemidirect:
         double = Morphism(k, k, tuple(2 * x % 5 for x in range(5)))
         with pytest.raises(ValueError):
             Action(h, k, (ident, double))
+
+    def test_action_validation_rejects_maps_of_the_wrong_count_or_group(self):
+        k, z3, h = cyclic(5), cyclic(3), cyclic(2, "s")
+        ident = identity_morphism(k)
+        with pytest.raises(ValueError, match="^need exactly one automorphism per element of H$"):
+            Action(h, k, (ident,))
+        for off_k in (identity_morphism(z3), Morphism(z3, k, (0, 1, 2)),
+                      Morphism(k, z3, (0, 1, 2, 0, 1))):
+            with pytest.raises(ValueError, match=r"^maps\[1\] is not a self-map of K$"):
+                Action(h, k, (ident, off_k))
+
+    def test_rejects_an_action_built_for_other_factors(self):
+        h = cyclic(2, "s")
+        with pytest.raises(ValueError, match="^action does not match the given K and H$"):
+            semidirect(cyclic(3), h, power_action(h, cyclic(5), -1))
 
 
 def _all_pairs_action_check(h, maps) -> bool:
@@ -357,6 +376,10 @@ class TestKhCopies:
         kc, hc = kh_copies(6, 2, g)
         assert set(kc.members) & set(hc.members) == {0}
         assert len(kc) * len(hc) == g.order
+
+    def test_rejects_a_wrong_order(self):
+        with pytest.raises(ValueError, match="^product order does not match k_order \\* h_order$"):
+            kh_copies(3, 3, dihedral(3))
 
 
 class TestHolomorph:

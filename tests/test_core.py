@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import groupkit.core
-from groupkit.aut import aut_group, automorphisms
+from groupkit.aut import aut_group, automorphisms, is_characteristic
 from groupkit.construct import (
     Action,
     cyclic,
     dihedral,
     direct_product,
     hom_set,
+    recognize_split,
     semidirect,
     trivial_action,
 )
@@ -73,6 +74,12 @@ class TestVerifyGroupAxioms:
         verdict = verify_group_axioms([[0, 1], [1]])
         assert not verdict.ok
         assert verdict.axiom == "dimensions"
+
+    def test_table_whose_order_disagrees_with_its_rows_reports_dimensions(self):
+        g = cyclic(3)
+        verdict = verify_group_axioms(GroupTable(4, g.mul, g.identity, g.elem_names))
+        assert not verdict.ok
+        assert (verdict.axiom, verdict.witness) == ("dimensions", (3,))
 
     def test_out_of_range_entry_reports_closure(self):
         verdict = verify_group_axioms([[0, 5], [1, 0]])
@@ -263,6 +270,10 @@ class TestSubgroups:
         with pytest.raises(ValueError):
             SubgroupRef(g, (0, 2))  # not closed: 2*2 = 4
 
+    def test_members_must_hold_the_identity(self):
+        with pytest.raises(ValueError, match="^subgroup must contain the identity$"):
+            SubgroupRef(cyclic(4), (1, 2, 3))
+
     @pytest.mark.parametrize("members, bad", [
         ((0, True, 2, 3), "True"), ((0, 2.0), "2.0"), ((0, "a"), "'a'"),
         ((0, 4), "4"), ((-1, 0), "-1"), ((0, 1.0), "1.0"), ((0, "x"), "'x'")])
@@ -285,6 +296,12 @@ class TestSubgroups:
         assert is_normal(d4, subgroup_generated(d4, [2]))  # index 2
         d3 = dihedral(3)
         assert not is_normal(d3, subgroup_generated(d3, [1]))
+
+    @pytest.mark.parametrize("check", [is_normal, is_characteristic, recognize_split])
+    def test_a_subgroup_of_another_table_is_refused(self, check):
+        rotations = subgroup_generated(dihedral(4), [2])
+        with pytest.raises(ValueError, match="^subgroup belongs to a different parent group$"):
+            check(dihedral(5), rotations)
 
     def test_index_two_subgroups_are_normal(self):
         for g in [dihedral(4), dihedral(6), direct_product(cyclic(2), cyclic(4))]:

@@ -192,6 +192,10 @@ class TestEval:
         with pytest.raises(SizeCapError):
             parse_and_eval("Z9999")
 
+    def test_rejects_what_is_not_an_expression(self):
+        with pytest.raises(TypeError, match="^not a group expression: <object object at "):
+            eval_expr(object())
+
     @pytest.mark.parametrize("text, order", [
         ("Hol 4096", 4096 * 2048), ("Z65 : Z64 [#0]", 65 * 64), ("(Z8 x Z8) : Z65 [#0]", 64 * 65)])
     def test_oversize_products_refuse_before_aut(self, monkeypatch, text, order):

@@ -18,6 +18,7 @@ from groupkit.construct import (
     dihedral,
     direct_product,
     holomorph,
+    power_action,
     semidirect,
     trivial_action,
 )
@@ -26,8 +27,8 @@ from groupkit.expr import parse_and_eval, parse_expr
 from groupkit.iso import (
     CatalogName,
     _basic_pool,
+    _counts,
     _factorings,
-    _spectrum,
     abelian_invariants,
     are_isomorphic,
     identify,
@@ -104,6 +105,10 @@ class TestAreIsomorphic:
         assert Counter(g1._root_key) != Counter(g2._root_key)
         assert are_isomorphic(g1, g2) is None
         assert search_morphisms(g1, g2, bijective=True, first_only=True) == []
+
+    def test_bijective_search_between_unequal_orders_finds_nothing(self):
+        assert search_morphisms(cyclic(4), cyclic(2), bijective=False)  # homomorphisms exist
+        assert search_morphisms(cyclic(4), cyclic(2), bijective=True) == []
 
     def test_order_128_pair_is_told_apart_without_a_search(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -466,14 +471,35 @@ def test_identify_matches_the_reference_walk():
         assert identify(g) == _reference_identify(g)
 
 
-def test_basic_spectra_are_closed_form(monkeypatch):
-    names = [name for order in range(1, 401) for name in _basic_pool(order)]
-    assert len(names) == 1076
+def test_basic_counts_are_closed_form(monkeypatch):
+    # k runs past the name's order, as _factorings asks each factor for the k dividing the product
+    named = [(order, name) for order in range(1, 401) for name in _basic_pool(order)]
+    assert len(named) == 1076 and named[0][1].display == "Z1"
 
     def refuse(*args, **kwargs):
-        raise AssertionError("_spectrum built a table")
+        raise AssertionError("_counts built a table")
 
     with monkeypatch.context() as patch:
         patch.setattr(groupkit.iso, "parse_and_eval", refuse)
-        spectra = [_spectrum(name) for name in names]
-    assert spectra == [order_spectrum(parse_and_eval(name.display)) for name in names]
+        counts = [_counts(name, range(1, 2 * order + 1)) for order, name in named]
+    for (order, name), got in zip(named, counts):
+        spec = order_spectrum(parse_and_eval(name.display))
+        assert got == tuple(sum(c for d, c in spec.items() if k % d == 0)
+                            for k in range(1, 2 * order + 1)), name.display
+
+
+def test_pool_keeps_the_powers_power_action_builds():
+    pooled = {name.params for order in range(1, 129) for name in _basic_pool(order)
+              if name.kind == "semidirect-cyclic"}
+    built = set()
+    for m in range(2, 129):
+        k = cyclic(m)
+        for n in range(1, 128 // m + 1):
+            h = cyclic(n, "s")
+            for i in range(2, m):
+                try:
+                    power_action(h, k, i)
+                except ValueError:
+                    continue
+                built.add((m, n, i))
+    assert pooled == built

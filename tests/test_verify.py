@@ -9,7 +9,7 @@ import groupkit.aut
 import groupkit.construct
 import groupkit.verify
 from groupkit.aut import aut_group, lambda_lift, zeta_lift
-from groupkit.construct import actions, cyclic, direct_product, semidirect
+from groupkit.construct import actions, cyclic, dihedral, direct_product, semidirect
 from groupkit.core import SizeCapError, _greedy_walk, subgroup_generated
 from groupkit.expr import parse_and_eval
 from groupkit.verify import (
@@ -120,6 +120,10 @@ class TestIndividualChecks:
         assert any(i.startswith("thm6.3") for i in ids)
         assert any(i.startswith("prop5.3") for i in ids)
         assert "cor5.2.Z4xZ2" in ids
+
+    def test_index2_split_subgroup_is_none_without_a_matching_kernel(self):
+        # D4's three index-2 subgroups have order 4, so none is Z3
+        assert groupkit.verify._index2_split_subgroup(dihedral(4), cyclic(3)) is None
 
 
 def _full_and_generator_lift_verdicts(k, h, a):

@@ -109,17 +109,15 @@ def _counts(name: CatalogName, ks) -> tuple[int, ...]:
     return tuple(sum(gcd(m, s(pow(i, t, m), k)) for t in range(0, n, n // gcd(n, k))) for k in ks)
 
 
-def _factorings(order: int, goal: tuple[int, ...] | None = None):
+def _factorings(order: int, ks=(), goal: tuple[int, ...] = ()):
     """Lists [(order, basic name), ...] of two or more factors whose orders
     multiply to order, each multiset once, ascending in (order, _basic_pool
     index), in the first-occurrence order of the walk over each divisor d,
     d*d <= order, each name a of order d, then each name and each list of
     order order // d. With goal, the counts N_k = |{x : x^k = e}| for each
-    k | order, ascending, only lists whose product has those counts: N_k
-    multiplies over direct factors, so a prefix whose N_k does not divide
-    goal's has no match.
+    k in ks, only lists whose product has those counts: N_k multiplies over
+    direct factors, so a prefix whose N_k does not divide goal's has no match.
     """
-    ks = [k for k in range(1, order + 1) if order % k == 0]
     n_of = cache(lambda name: _counts(name, ks))
 
     def walk(rest, least, got):
@@ -177,7 +175,8 @@ def identify(g: GroupTable) -> CatalogName:
     def singles(kind):
         return ([(n, b)] for b in basics if b.kind == kind and _counts(b, ks) == goal)
 
-    for factors in chain(singles("dihedral"), _factorings(n, goal), singles("semidirect-cyclic")):
+    products = _factorings(n, ks, goal)
+    for factors in chain(singles("dihedral"), products, singles("semidirect-cyclic")):
         factors.sort(key=lambda f: (f[0], f[1].display))
         display = " x ".join(name.display for _, name in factors)
         if are_isomorphic(g, parse_and_eval(display)):

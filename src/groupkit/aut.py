@@ -125,8 +125,9 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
     all j lists them, and the gather of a_0 gives the keys. So lift is s's row,
     every entry in range; composition is a group operation and <S> is Aut G
     (_aut_chain), so _compose_rows builds every row from the lifts, without
-    make_table's check. The table is cached on g as _aut_chain is; the
-    Morphism and AutGroup wrappers are new on each call.
+    make_table's check. The table records the strong generators' indices,
+    lift[0] as a_0 is the identity, as its generators. It is cached on g as
+    _aut_chain is; the Morphism and AutGroup wrappers are new on each call.
     """
     strong, images = _chain_images(g, cap)
     if (table := g.__dict__.get("_aut_table")) is None:
@@ -136,6 +137,7 @@ def aut_group(g: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutGroup:
         lifts = [list(map(index_of.__getitem__, zip(*[get(s) for get in gets]))) for s in strong]
         rows = _compose_rows(len(images), 0, lifts)
         table = g.__dict__["_aut_table"] = GroupTable(len(rows), rows, 0, _aut_names(g, images))
+        table.__dict__["generators"] = tuple(lift[0] for lift in lifts)
     return AutGroup(g, tuple(Morphism(g, g, img) for img in images), table)
 
 

@@ -36,8 +36,8 @@ class Action:
 
     The constructor checks the maps a caller supplies: each must be an
     automorphism of K, the identity of H must act trivially, and maps[a*b]
-    must equal maps[a] after maps[b]. That last check runs only for a in H's
-    cached generating sequence, O(d*|H|*|K|), which suffices when H is a
+    must equal maps[a] after maps[b]. That last check runs only for a in
+    h_group.generators, O(d*|H|*|K|), which suffices when H is a
     group: the set of a with maps[a*b] = maps[a] o maps[b] for all b contains
     the identity (maps[e] = id is checked first) and the generators, and it is
     closed under products: for a, a' in it, maps[(a*a')*b] = maps[a*(a'*b)] =
@@ -65,7 +65,7 @@ class Action:
         images = [list(m.image) for m in self.maps]
         if images[h.identity] != list(range(k.order)):
             raise ValueError("identity of H must act trivially")
-        for a in h.gens_and_plans[0]:
+        for a in h.generators:
             ia = images[a]
             for b, ab in enumerate(h.mul[a]):
                 if [ia[x] for x in images[b]] != images[ab]:
@@ -132,14 +132,17 @@ def _check_hol_size(n: int, size_cap: int) -> int:
 
 
 def cyclic(n: int, gen: str = "r", size_cap: int = DEFAULT_SIZE_CAP) -> GroupTable:
-    """Z_n with elements 0..n-1 named e, gen, gen^2, ..."""
+    """Z_n with elements 0..n-1 named e, gen, gen^2, ...; it records (1,) as
+    its generators, () for n = 1, as the powers of 1 are every element."""
     if n < 1:
         raise ValueError(f"cyclic group order must be >= 1, got {n}")
     _check_size(n, size_cap)
     cells = tuple(range(n)) * 2
     mul = tuple(cells[a:a + n] for a in range(n))
     names = ["e", gen][:n] + [f"{gen}^{i}" for i in range(2, n)]
-    return GroupTable(n, mul, 0, tuple(names))
+    table = GroupTable(n, mul, 0, tuple(names))
+    table.__dict__["generators"] = (1,) if n > 1 else ()
+    return table
 
 
 def _pair_names(k: GroupTable, h: GroupTable) -> tuple[str, ...]:
@@ -161,11 +164,15 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
 
     K and H are groups and Action holds a homomorphism H -> Aut(K), so the
     product is a group, built without make_table's check. Only the rows of
-    the generators (x, e_H) and (e_K, y), for x and y in the generating
-    sequences of K and H, are computed from the definition, every entry in
-    range(order); they generate the product, as (k, h) = (k, e_H)(e_K, h),
-    and _compose_rows builds the other rows from them. The identity is
-    (e_K, e_H).
+    (x, e_H) and (e_K, y), for x in k.generators and y in h.generators, are
+    computed from the definition, every entry in range(order), and
+    _compose_rows builds the other rows from them. They generate the
+    product, which the table records as its generators: (k, h) =
+    (k, e_H)(e_K, h), and k -> (k, e_H) and h -> (e_K, h) respect products,
+    as (k1, e_H)(k2, e_H) = (k1*k2, e_H) and (e_K, h1)(e_K, h2) =
+    (e_K*h1(e_K), h1*h2) = (e_K, h1*h2), so each (k, e_H) is a product of
+    the (x, e_H) and each (e_K, h) of the (e_K, y). Any generating sets of K
+    and H give the same table. The identity is (e_K, e_H).
     """
     if action.k_group != k or action.h_group != h:
         raise ValueError("action does not match the given K and H")
@@ -175,12 +182,15 @@ def semidirect(k: GroupTable, h: GroupTable, action: Action,
     # the rows of (x, e_H) and (e_K, y): (x, e_H)(k2, h2) = (x*k2, h2) and
     # (e_K, y)(k2, h2) = (y(k2), y*h2), with (k2, h2) at k2*|H| + h2
     gen_rows = [[xk * no_h + h2 for xk in k.mul[x] for h2 in range(no_h)]
-                for x in k.gens_and_plans[0]]
+                for x in k.generators]
     gen_rows += [[yk * no_h + yh for yk in action.maps[y].image for yh in h.mul[y]]
-                 for y in h.gens_and_plans[0]]
+                 for y in h.generators]
     identity = k.identity * no_h + h.identity
-    return GroupTable(order, _compose_rows(order, identity, gen_rows),
-                      identity, _pair_names(k, h))
+    table = GroupTable(order, _compose_rows(order, identity, gen_rows),
+                       identity, _pair_names(k, h))
+    table.__dict__["generators"] = (*(x * no_h + h.identity for x in k.generators),
+                                    *(k.identity * no_h + y for y in h.generators))
+    return table
 
 
 def direct_product(k: GroupTable, h: GroupTable,

@@ -39,9 +39,10 @@ class GroupTable:
     constructor in this package is a group; a table built by hand with
     GroupTable(...) is taken on trust. Everything below assumes a group.
 
-    Derived data (element orders, inverses, root counts, class sizes, the
-    generating sequence and its plans; Aut's chain, images and table in aut)
-    is computed on first use and cached on the instance, outside eq, hash, repr.
+    Derived data (element orders, inverses, root counts, class sizes, a
+    generating set, the generating sequence and its plans; Aut's chain,
+    images and table in aut) is computed on first use and cached on the
+    instance, outside eq, hash, repr.
     The orders and inverses cost O(n) products up to a log log n factor, and
     each step of the generating sequence one coset walk of
     O(|<H, y>| * (d + 1)) products per right coset of the subgroup H grown so
@@ -114,7 +115,7 @@ class GroupTable:
         the composite of conjugations. The centre is the classes of size 1."""
         mul, size = self.mul, [0] * self.order
         perms = [itemgetter(*mul[self.inv[s]])([row[s] for row in mul])
-                 for s in self.gens_and_plans[0]]
+                 for s in self.generators]
         for x in range(self.order):
             if not size[x]:
                 orbit, size[x] = [x], 1
@@ -126,6 +127,17 @@ class GroupTable:
                 for y in orbit:
                     size[y] = len(orbit)
         return tuple((o, r, c) for (o, r), c in zip(self._root_key, size))
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Elements that generate the group: the set its constructor recorded
+        in the instance dict (cyclic, semidirect and aut.aut_group do, each
+        with the reason in its docstring), otherwise the greedy sequence of
+        gens_and_plans. The checks whose proofs hold for any generating set
+        read it, so a constructed table skips the greedy search; the search,
+        and all that names a map by its images of generators, keep the
+        sequence."""
+        return self.gens_and_plans[0]
 
     @cached_property
     def gens_and_plans(self) -> tuple[tuple[int, ...], tuple[tuple[Step, ...], ...]]:
@@ -204,9 +216,9 @@ class Morphism:
 def respects_products(src: GroupTable, tgt: GroupTable, img: Sequence[int]) -> bool:
     """True when f = img satisfies f(a*b) = f(a)*f(b) for all a, b in src.
 
-    Checks f(e) = e, then f(g*x) = f(g)*f(x) for each g in the cached
-    generating sequence of src and every x, which costs O(d*n). That suffices
-    when both tables are groups: the set of a with f(a*x) = f(a)*f(x) for all
+    Checks f(e) = e, then f(g*x) = f(g)*f(x) for each g in src.generators
+    and every x, which costs O(d*n). That suffices when both tables are
+    groups: the set of a with f(a*x) = f(a)*f(x) for all
     x contains the generators and is closed under products, because
     f(ab*x) = f(a)*f(b*x) = f(a)*f(b)*f(x) = f(ab)*f(x) by associativity in
     both tables; a nonempty subset of a finite group closed under products is
@@ -219,7 +231,7 @@ def respects_products(src: GroupTable, tgt: GroupTable, img: Sequence[int]) -> b
     # the loop runs only when src has generators, so order >= 2: every gather
     # it applies has at least 2 indices and returns a tuple
     gather_img = itemgetter(*img)
-    for a in src.gens_and_plans[0]:
+    for a in src.generators:
         if itemgetter(*smul[a])(img) != gather_img(tmul[img[a]]):
             return False
     return True
@@ -396,7 +408,7 @@ def is_abelian(g: GroupTable) -> bool:
     that then is G as well.
     """
     mul = g.mul
-    return all(mul[a][b] == mul[b][a] for a, b in combinations(g.gens_and_plans[0], 2))
+    return all(mul[a][b] == mul[b][a] for a, b in combinations(g.generators, 2))
 
 
 def center(g: GroupTable) -> SubgroupRef:
@@ -407,7 +419,7 @@ def center(g: GroupTable) -> SubgroupRef:
     its SubgroupRef skips the check (_trusted).
     """
     mul, members = g.mul, range(g.order)
-    for x in g.gens_and_plans[0]:
+    for x in g.generators:
         rx = mul[x]
         members = [z for z in members if mul[z][x] == rx[z]]
     return _trusted(SubgroupRef, g, tuple(members))
@@ -544,7 +556,7 @@ def is_normal(g: GroupTable, h: SubgroupRef) -> bool:
         raise ValueError("subgroup belongs to a different parent group")
     mem = set(h.members)
     mul, inv = g.mul, g.inv
-    for x in g.gens_and_plans[0]:
+    for x in g.generators:
         xi = inv[x]
         if not mem.issuperset([mul[mul[xi][a]][x] for a in h.members]):
             return False

@@ -294,30 +294,31 @@ def _resolve_action(e: Semidirect, k_table: GroupTable, h_table: GroupTable) -> 
     return choices[spec.j]
 
 
-def _eval(e: GroupExpr, names: Iterator[str]) -> GroupTable:
+def _eval(e: GroupExpr, names: Iterator[str], size_cap: int) -> GroupTable:
     # a left-nested chain of x and : is walked in a loop, so its length costs no stack
     spine: list[Union[Product, Semidirect]] = []
     while isinstance(e, (Product, Semidirect)):
         spine.append(e)
         e = e.left if isinstance(e, Product) else e.k_expr
     if isinstance(e, Cyclic):
-        table = cyclic(e.n, next(names))
+        table = cyclic(e.n, next(names), size_cap=size_cap)
     elif isinstance(e, Dihedral):
-        table = dihedral(e.n)
+        table = dihedral(e.n, size_cap=size_cap)
     else:  # a Holomorph: eval_expr's _order refuses any other leaf
-        table = holomorph(e.n)
+        table = holomorph(e.n, size_cap=size_cap)
     for node in reversed(spine):
         if isinstance(node, Product):
-            table = direct_product(table, _eval(node.right, names))
+            table = direct_product(table, _eval(node.right, names, size_cap), size_cap=size_cap)
         else:
-            h_table = _eval(node.h_expr, names)
-            table = semidirect(table, h_table, _resolve_action(node, table, h_table))
+            h_table = _eval(node.h_expr, names, size_cap)
+            table = semidirect(table, h_table, _resolve_action(node, table, h_table),
+                               size_cap=size_cap)
     return table
 
 
-def _order(e: GroupExpr) -> int:
+def _order(e: GroupExpr, size_cap: int) -> int:
     """|G| for the group e names, from its leaves: Z n has n elements, D n 2n,
-    Hol n n*phi(n), and x and : multiply. A Hol n leaf past the size cap is
+    Hol n n*phi(n), and x and : multiply. A Hol n leaf past size_cap is
     refused before phi(n) factors n (_check_hol_size): every leaf's order
     divides |G|."""
     order, todo = 1, [e]
@@ -325,7 +326,7 @@ def _order(e: GroupExpr) -> int:
         if isinstance(e, (Product, Semidirect)):
             todo += (e.left, e.right) if isinstance(e, Product) else (e.k_expr, e.h_expr)
         elif isinstance(e, Holomorph):
-            order *= _check_hol_size(e.n, DEFAULT_SIZE_CAP)
+            order *= _check_hol_size(e.n, size_cap)
         elif isinstance(e, (Cyclic, Dihedral)):
             order *= (1 + isinstance(e, Dihedral)) * e.n
         else:
@@ -333,19 +334,19 @@ def _order(e: GroupExpr) -> int:
     return order
 
 
-def eval_expr(e: GroupExpr) -> GroupTable:
+def eval_expr(e: GroupExpr, size_cap: int = DEFAULT_SIZE_CAP) -> GroupTable:
     """Build the multiplication table named by a parsed expression.
 
     Cyclic leaves receive generator letters in parse order: r through w,
     then g7, g8 and so on.
     Raises ExprEvalError for impossible actions and SizeCapError when a
-    construction would exceed the size cap. The order of the whole tree is
+    construction would exceed size_cap. The order of the whole tree is
     checked before any table is built; every subtree's order divides it.
     """
-    _check_size(_order(e), DEFAULT_SIZE_CAP)
-    return _eval(e, chain("rstuvw", map("g{}".format, count(7))))
+    _check_size(_order(e, size_cap), size_cap)
+    return _eval(e, chain("rstuvw", map("g{}".format, count(7))), size_cap)
 
 
-def parse_and_eval(text: str) -> GroupTable:
+def parse_and_eval(text: str, size_cap: int = DEFAULT_SIZE_CAP) -> GroupTable:
     """Convenience wrapper: parse the text and evaluate it to a table."""
-    return eval_expr(parse_expr(text))
+    return eval_expr(parse_expr(text), size_cap)

@@ -5,11 +5,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, islice
+from itertools import islice
 from math import gcd, isqrt, log, prod
 from operator import mul
 
-from .core import GroupTable, Morphism, is_abelian, order_spectrum
+from .core import DEFAULT_SIZE_CAP, GroupTable, Morphism, is_abelian, order_spectrum
 from ._search import search_morphisms
 from .expr import parse_and_eval
 from .numth import factorize, totatives
@@ -88,25 +88,72 @@ def _basic_pool(order: int):
                     yield CatalogName("semidirect-cyclic", (m, n, i), f"Z{m} : Z{n} [r^{i}]")
 
 
+def _presentation(name: CatalogName) -> tuple[int, int, int]:
+    """(m, n, i) for a name from _basic_pool, the group Z_m x| Z_n with s
+    acting by r -> r^i: cyclic Z_m is n = 1, i = 1, dihedral D_k is m = k,
+    n = 2, i = -1."""
+    if name.kind == "semidirect-cyclic":
+        return name.params
+    return (name.params[0], 1, 1) if name.kind == "cyclic" else (name.params[0], 2, -1)
+
+
 def _counts(name: CatalogName, ks) -> tuple[int, ...]:
     """N_k = |{x : x^k = e}| of a name from _basic_pool for each k in ks, in
     closed form.
 
-    Each basic name is Z_m x| Z_n with s acting by r -> r^i: cyclic is
-    n = 1, dihedral D_k is m = k, n = 2, i = -1. An element (a, t) = r^a s^t
+    Each basic name is Z_m x| Z_n with s acting by r -> r^i
+    (_presentation). An element (a, t) = r^a s^t
     has (a, t)^k = (a*S, k*t) with S = 1 + u + ... + u^(k-1), u = i^t mod m.
     That is e exactly when n / gcd(n, k) divides t and m divides a*S, which
     gcd(m, S) of the a in Z_m do. S is k when u = 1, and otherwise
     (u^k - 1)/(u - 1), whose numerator is read mod m*(u - 1) so that the
     quotient is S mod m. So each N_k is a sum of gcd(n, k) terms.
     """
-    m, n, i = name.params if name.kind == "semidirect-cyclic" else (
-        name.params[0], 1 if name.kind == "cyclic" else 2, -1)
+    m, n, i = _presentation(name)
 
     def s(u, k):  # 1 % m is 0 when m == 1
         return k if u == 1 % m else (pow(u, k, m * (u - 1)) - 1) // (u - 1)
 
     return tuple(sum(gcd(m, s(pow(i, t, m), k)) for t in range(0, n, n // gcd(n, k))) for k in ks)
+
+
+def _presents(g: GroupTable, name: CatalogName) -> bool:
+    """For G of order m*n, True when G is the group a name from _basic_pool
+    gives, Z_m x| Z_n with s acting by r -> r^i (_presentation).
+
+    That group is <r, s | r^m, s^n, s*r*s^-1 = r^i>: the relations write
+    every element as r^a*s^t, so the presented group has at most m*n
+    elements, and semidirect's product, of m*n elements and generated by r
+    and s, satisfies them. So G is that group exactly when some a of order
+    m and b of order n satisfy b*a*b^-1 = a^i with <b> meeting <a> only in
+    e: the relations then give a homomorphism onto <a, b> (von Dyck), which
+    is <a><b> as b normalises <a>, of m*n = |G| elements, so it is
+    one-to-one; conversely the images of r and s satisfy them. The relation
+    for a gives it for each a^j, (a^j)^i = b*a^j*b^-1, so one a per cyclic
+    subgroup of order m is tried against each b of order n, one relation
+    check per pair; once one holds, <b> is walked to its first power in
+    <a>, which is e exactly when they meet only in e.
+    """
+    m, n, i = _presentation(name)
+    mul, inv, orders, e = g.mul, g.inv, g.orders, g.identity
+    bs = [b for b in range(g.order) if orders[b] == n]
+    tried = set()
+    for a in range(g.order):
+        if orders[a] != m or a in tried:
+            continue
+        powers = [e]
+        for _ in range(m - 1):
+            powers.append(mul[powers[-1]][a])
+        tried.update(p for j, p in enumerate(powers) if gcd(j, m) == 1)
+        cyc, a_i = set(powers), powers[i % m]
+        for b in bs:
+            if mul[mul[b][a]][inv[b]] == a_i:
+                y = b
+                while y not in cyc:
+                    y = mul[y][b]
+                if y == e:
+                    return True
+    return False
 
 
 def _factorings(order: int, ks=(), goal: tuple[int, ...] = ()):
@@ -145,19 +192,25 @@ def identify(g: GroupTable) -> CatalogName:
     Precedence: cyclic, abelian product of cyclics, dihedral, direct product
     of named groups, cyclic-by-cyclic semidirect product (order <= 128,
     smallest (m, n, i) wins), otherwise unidentified. Matching is by
-    are_isomorphic, so the answer only depends on the isomorphism type.
+    _presents for a single name and by are_isomorphic for a product, so the
+    answer only depends on the isomorphism type.
 
     An abelian group is named from its element orders by abelian_invariants,
     whose O(d^2) commutativity test is the only one identify runs, with no
-    search. For the rest, one loop walks the candidates in that order, each
+    search. For the rest, the candidates are walked in that order, each
     filtered by G's counts N_k = |{x : x^k = e}| for k | |G|, which sum the
     order spectrum over k's divisors and so hold it: the dihedral and
-    semidirect names whose closed-form counts (_counts) are G's, and between
+    semidirect names whose closed-form counts (_counts) are G's, each then
+    checked against its presentation (_presents) with no table, and between
     them the factor multisets _factorings lists for those counts, each once,
-    pruned by the counts of its prefixes. Only then is a table built, by
-    parse_and_eval of the display the candidate would return, and searched;
-    so the name is the text of the group that matched. Neither skip changes
-    the answer.
+    pruned by the counts of its prefixes. A list of cyclic factors alone is
+    abelian and is skipped; for any other a table is built, by
+    parse_and_eval of the display the candidate would return, and searched,
+    so the name is the text of the group that matched. No skip changes the
+    answer. A product candidate has |G| elements, so it is built under a
+    size cap of max(DEFAULT_SIZE_CAP, |G|): G's own table exists, so the
+    candidate at most doubles the live table memory, and a G past the size
+    cap, as Aut's cap allows, can still be named.
     """
     n = g.order
     if max(g.orders) == n:
@@ -172,14 +225,19 @@ def identify(g: GroupTable) -> CatalogName:
     ks = [k for k in range(1, n + 1) if n % k == 0]
     goal = tuple(sum(c for d, c in spec.items() if k % d == 0) for k in ks)
 
-    def singles(kind):
-        return ([(n, b)] for b in basics if b.kind == kind and _counts(b, ks) == goal)
+    def single(kind):
+        return next((b for b in basics if b.kind == kind and _counts(b, ks) == goal
+                     and _presents(g, b)), None)
 
-    products = _factorings(n, ks, goal)
-    for factors in chain(singles("dihedral"), products, singles("semidirect-cyclic")):
+    if dihedral := single("dihedral"):
+        return dihedral
+    cap = max(DEFAULT_SIZE_CAP, n)
+    for factors in _factorings(n, ks, goal):
+        if all(name.kind == "cyclic" for _, name in factors):
+            continue  # an abelian product, and G is not abelian
         factors.sort(key=lambda f: (f[0], f[1].display))
         display = " x ".join(name.display for _, name in factors)
-        if are_isomorphic(g, parse_and_eval(display)):
-            return factors[0][1] if len(factors) == 1 else CatalogName(
-                "product-of-named", tuple(d for d, _ in factors), display)
-    return CatalogName("unidentified", (n,), f"unidentified (order {n})")
+        if are_isomorphic(g, parse_and_eval(display, size_cap=cap)):
+            return CatalogName("product-of-named", tuple(d for d, _ in factors), display)
+    return single("semidirect-cyclic") or CatalogName(
+        "unidentified", (n,), f"unidentified (order {n})")

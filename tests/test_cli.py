@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import groupkit
 import groupkit.cli
 from groupkit.cli import main
-from groupkit.core import to_json_dict
+from groupkit.core import GroupTable, to_json_dict
 from groupkit.expr import parse_and_eval
 
 
@@ -26,6 +27,23 @@ class TestInfo:
             "center size: 2",
             "order spectrum: 1^1 2^5 4^6 8^4",
         ]
+
+    @pytest.mark.parametrize("expr", [
+        "Z2 x Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "D5 x Z7", "Z6 : Z18 [r^5]"])
+    def test_runs_no_greedy_generator_search(self, monkeypatch, capsys, expr):
+        # the constructors record their generators, which is all that info's checks read
+        calls, search = [], GroupTable.gens_and_plans.func
+
+        def counted(g):
+            calls.append(g)
+            return search(g)
+
+        spy = cached_property(counted)
+        spy.__set_name__(GroupTable, "gens_and_plans")
+        monkeypatch.setattr(GroupTable, "gens_and_plans", spy)
+        assert main(["info", expr]) == 0
+        assert capsys.readouterr().out.startswith("order: ")
+        assert calls == []
 
     def test_abelian_summary(self, capsys):
         assert main(["info", "Z6"]) == 0

@@ -14,7 +14,10 @@ from groupkit.construct import (
     cyclic,
     dihedral,
     direct_product,
+    holomorph,
     hom_set,
+    kh_copies,
+    power_action,
     recognize_split,
     semidirect,
     trivial_action,
@@ -494,6 +497,62 @@ class TestDerivedData:
                 assert g.mul[x][y] == p
                 listed.append(p)
         assert sorted(listed) == list(range(g.order))
+
+
+def _recorded_battery() -> list[tuple[GroupTable, list[SubgroupRef]]]:
+    """Tables whose constructors record their generators, each with subgroups
+    to test for normality: the K- and H-copies of a pair-encoded product, the
+    cyclic subgroups of the rest."""
+    products = [(direct_product(cyclic(m), cyclic(n, "s")), m, n)
+                for m, n in [(1, 1), (1, 5), (4, 6), (2, 2), (3, 9)]]
+    products += [(direct_product(k, h), k.order, h.order) for k, h in [
+        (dihedral(3), cyclic(2)), (cyclic(2), direct_product(cyclic(2), cyclic(2))),
+        (dihedral(4), dihedral(3))]]
+    products += [(semidirect(cyclic(m), cyclic(n, "s"), power_action(cyclic(n, "s"), cyclic(m), i)),
+                  m, n) for m, n, i in [(8, 2, 3), (7, 3, 2), (16, 4, 3), (9, 6, 2), (5, 4, 2)]]
+    products += [(parse_and_eval(expr), k, h) for expr, k, h in [
+        ("(Z2 x Z2) : Z3 [#1]", 4, 3), ("(Z4 x Z2) : Z2 [#3]", 8, 2), ("D4 : Z2 [#1]", 8, 2),
+        ("Z8 : (Z2 x Z2) [#2]", 8, 4)]]
+    products += [(dihedral(n), n, 2) for n in (1, 2, 5, 8)]
+    products += [(g, n, g.order // n) for n in (1, 2, 7, 8, 12) for g in [holomorph(n)]]
+    battery = [(g, list(kh_copies(k, h, g))) for g, k, h in products]
+    others = [cyclic(n) for n in range(1, 13)]
+    others += [aut_group(g).table for g in (
+        cyclic(1), cyclic(2), cyclic(8), dihedral(4), holomorph(8), holomorph(7),
+        direct_product(cyclic(2), direct_product(cyclic(2), cyclic(2))))]
+    battery += [(g, [subgroup_generated(g, [x]) for x in range(g.order)]) for g in others]
+    return battery
+
+
+class TestRecordedGenerators:
+    """cyclic, semidirect and aut_group record a generating set; the checks
+    that read it answer as they do on a copy that falls back to the greedy
+    sequence."""
+
+    @pytest.mark.parametrize("g, subgroups", _recorded_battery())
+    def test_recorded_generators_generate_and_the_checks_agree(self, g, subgroups):
+        assert "generators" in vars(g)
+        assert len(subgroup_generated(g, g.generators)) == g.order
+        copy = GroupTable(g.order, g.mul, g.identity, g.elem_names)
+        assert copy.generators == copy.gens_and_plans[0]
+        assert is_abelian(g) == is_abelian(copy)
+        assert center(g) == center(copy)
+        assert [is_normal(g, s) for s in subgroups] == [is_normal(copy, s) for s in subgroups]
+        assert g._class_key == copy._class_key
+        rng = random.Random(g.order)
+        images = [a.image for a in automorphisms(g)[:4]] + [
+            (g.identity,) * g.order,
+            tuple(g.inv),
+            (g.identity, *rng.sample(range(g.order), g.order))[:g.order],
+        ]
+        for img in images:
+            assert respects_products(g, g, img) == respects_products(copy, copy, img)
+
+    def test_the_battery_meets_both_verdicts(self):
+        battery = _recorded_battery()
+        assert {is_normal(g, s) for g, subs in battery for s in subs} == {True, False}
+        assert {is_abelian(g) for g, _ in battery} == {True, False}
+        assert {respects_products(g, g, g.inv) for g, _ in battery} == {True, False}
 
 
 def _greedy_by_full_closures(g: GroupTable):

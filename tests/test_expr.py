@@ -192,6 +192,24 @@ class TestEval:
         with pytest.raises(SizeCapError):
             parse_and_eval("Z9999")
 
+    def test_size_cap_is_a_parameter(self):
+        with pytest.raises(SizeCapError, match=r"^order 16 exceeds size cap 8$"):
+            parse_and_eval("Z4 x Z4", size_cap=8)
+        with pytest.raises(SizeCapError, match=r"^order at least 9 exceeds size cap 8$"):
+            parse_and_eval("Hol 9", size_cap=8)
+        assert parse_and_eval("Z4 x Z4", size_cap=16).order == 16
+
+    def test_size_cap_reaches_every_constructor(self, monkeypatch):
+        caps = []
+        for name in ("cyclic", "dihedral", "holomorph", "direct_product", "semidirect"):
+            def spy(*args, real=getattr(groupkit.expr, name), **kwargs):
+                caps.append(kwargs["size_cap"])
+                return real(*args, **kwargs)
+            monkeypatch.setattr(groupkit.expr, name, spy)
+        g = parse_and_eval("Z2 x D3 x Hol 5 x Z3 : Z2 [r^2]", size_cap=5000)
+        assert g.order == 2 * 6 * 20 * 6
+        assert caps == [5000] * 9
+
     def test_rejects_what_is_not_an_expression(self):
         with pytest.raises(TypeError, match="^not a group expression: <object object at "):
             eval_expr(object())

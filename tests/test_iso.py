@@ -29,6 +29,7 @@ from groupkit.iso import (
     _basic_pool,
     _counts,
     _factorings,
+    _presents,
     abelian_invariants,
     are_isomorphic,
     identify,
@@ -503,3 +504,40 @@ def test_pool_keeps_the_powers_power_action_builds():
                     continue
                 built.add((m, n, i))
     assert pooled == built
+
+
+def test_presents_agrees_with_the_built_table():
+    """_presents(G, name) against are_isomorphic with the name's table: every
+    basic name of order <= 64 against every catalog group of that order, its
+    basic names and product lists, each relabelled."""
+    pairs = presented = 0
+    for order in range(1, 65):
+        basics = list(_basic_pool(order))
+        named = [(b, parse_and_eval(b.display)) for b in basics]
+        displays = [b.display for b in basics] + [
+            " x ".join(name.display for _, name in factors) for factors in _factorings(order)]
+        for display in displays:
+            g = _relabel(parse_and_eval(display), pairs)
+            for name, table in named:
+                got = _presents(g, name)
+                assert got == (are_isomorphic(g, table) is not None), (display, name.display)
+                pairs += 1
+                presented += got
+    assert (pairs, presented) == (5391, 623)
+
+
+@pytest.mark.parametrize("expr, display", [
+    ("D192", "D192"),
+    ("Hol 11", "Z11 : Z10 [r^2]"),
+    ("Z16 : Z8 [r^9]", "Z16 : Z8 [r^9]"),
+    ("Z7 : Z6 [r^3]", "Z7 : Z6 [r^3]"),
+])
+def test_single_names_build_no_table(monkeypatch, expr, display):
+    # Z16 : Z8 [r^9] has the counts N_k of Z8 x Z16, an abelian list identify skips
+    g = parse_and_eval(expr)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("identify built a table")
+
+    monkeypatch.setattr(groupkit.iso, "parse_and_eval", refuse)
+    assert identify(g).display == display

@@ -22,7 +22,14 @@ def _aut_chain(g: GroupTable, cap: int) -> tuple[_Images, tuple[dict, ...]]:
     g_t -> None. Each element of g_t's order outside it, ascending, gets one
     search for a map that fixes g_0, ..., g_{t-1} and sends g_t there; a map
     found joins S and the orbit is closed again (Sims 1970; Holt, Eick &
-    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4). When the
+    search for w fails, w's orbit under S is marked dead and skipped: every
+    map in S fixes g_0, ..., g_{t-1}, so lies in A_t, and the A_t-orbit of
+    g_t is A_t-invariant, so with w outside it, w's whole orbit is (the
+    orbit pruning of backtrack searches in Butler, Fundamental Algorithms
+    for Permutation Groups, LNCS 559, 1991). Only points outside the A_t-orbit
+    are skipped, so the same searches succeed in the same order, and S and the
+    vectors are what the unpruned walk finds.
 
     By induction on t, <S> = A_t after level t: S held generators of A_{t+1},
     which fix g_t; each point of the A_t-orbit of g_t was reached or searched,
@@ -40,8 +47,9 @@ def _aut_chain(g: GroupTable, cap: int) -> tuple[_Images, tuple[dict, ...]]:
         strong, vectors = [], []
         for t, x in reversed([*enumerate(gens)]):
             orbit: dict[int, tuple[int, int] | None] = {x: None}
+            dead = set()
             for w in range(g.order):
-                if orders[w] != orders[x] or w in orbit:
+                if orders[w] != orders[x] or w in orbit or w in dead:
                     continue
                 if found := search_morphisms(g, g, bijective=True, first_only=True,
                                              fixed=(*gens[:t], w)):
@@ -51,6 +59,14 @@ def _aut_chain(g: GroupTable, cap: int) -> tuple[_Images, tuple[dict, ...]]:
                         for i, s in enumerate(strong):
                             if s[p] not in orbit:
                                 orbit[s[p]] = (i, p)
+                                queue.append(s[p])
+                else:
+                    dead.add(w)
+                    queue = [w]
+                    for p in queue:
+                        for s in strong:
+                            if s[p] not in dead:
+                                dead.add(s[p])
                                 queue.append(s[p])
             vectors.insert(0, orbit)
         chain = g.__dict__["_aut_chain"] = tuple(strong), tuple(vectors)

@@ -23,8 +23,8 @@ from functools import cache
 from .aut import aut_group
 from .construct import action_classes, hom_set
 from .core import GroupTable, SizeCapError, center, is_abelian, order_spectrum, to_json_dict
-from .expr import ExprError, parse_and_eval
-from .iso import are_isomorphic, identify
+from .expr import ExprError, parse_and_eval, parse_expr
+from .iso import _expr_counts, are_isomorphic, identify
 from ._search import generating_sequence
 from .verify import VerifyReport, report_to_json, run_all
 
@@ -58,7 +58,30 @@ def _cmd_aut(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _counts_differ(text1: str, text2: str) -> bool:
+    """True when the closed-form counts of the two expressions' trees
+    (iso._expr_counts) differ, with no table built; False defers.
+
+    |G| and N_k = |{x : x^k = e}| for each k dividing |G| are isomorphism
+    invariants, so groups whose counts differ are not isomorphic. Both texts
+    must parse, be within the size cap and hold only Z, D, x and valid [r^i]
+    on cyclic operands; then both tables would build, and are_isomorphic,
+    whose square-root counts hold the order spectrum from which each N_k
+    sums, would answer None before any search. Anything else, a text with
+    Hol or [#j], an error, or equal counts, returns False, and _cmd_iso
+    builds, searches and raises as it would without this check.
+    """
+    try:
+        first, second = (_expr_counts(parse_expr(text)) for text in (text1, text2))
+    except ExprError:
+        return False
+    return None not in (first, second) and first != second
+
+
 def _cmd_iso(args: argparse.Namespace) -> int:
+    if _counts_differ(args.expr1, args.expr2):
+        print("not isomorphic")
+        return EXIT_NEGATIVE
     g1 = parse_and_eval(args.expr1)
     g2 = parse_and_eval(args.expr2)
     witness = are_isomorphic(g1, g2)

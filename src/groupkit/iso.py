@@ -11,7 +11,8 @@ from operator import mul
 
 from .core import DEFAULT_SIZE_CAP, GroupTable, Morphism, is_abelian, order_spectrum
 from ._search import search_morphisms
-from .expr import parse_and_eval
+from .construct import _check_power
+from .expr import Cyclic, CyclicPower, Dihedral, GroupExpr, Product, Semidirect, parse_and_eval
 from .numth import factorize, totatives
 
 SEMIDIRECT_POOL_LIMIT = 128
@@ -97,24 +98,62 @@ def _presentation(name: CatalogName) -> tuple[int, int, int]:
     return (name.params[0], 1, 1) if name.kind == "cyclic" else (name.params[0], 2, -1)
 
 
-def _counts(name: CatalogName, ks) -> tuple[int, ...]:
-    """N_k = |{x : x^k = e}| of a name from _basic_pool for each k in ks, in
+def _counts(presentation: tuple[int, int, int], ks) -> tuple[int, ...]:
+    """N_k = |{x : x^k = e}| of Z_m x| Z_n with s acting by r -> r^i, given
+    as its presentation (m, n, i) (_presentation), for each k in ks, in
     closed form.
 
-    Each basic name is Z_m x| Z_n with s acting by r -> r^i
-    (_presentation). An element (a, t) = r^a s^t
-    has (a, t)^k = (a*S, k*t) with S = 1 + u + ... + u^(k-1), u = i^t mod m.
-    That is e exactly when n / gcd(n, k) divides t and m divides a*S, which
-    gcd(m, S) of the a in Z_m do. S is k when u = 1, and otherwise
+    An element (a, t) = r^a s^t has (a, t)^k = (a*S, k*t) with
+    S = 1 + u + ... + u^(k-1), u = i^t mod m. That is e exactly when
+    n / gcd(n, k) divides t and m divides a*S, which gcd(m, S) of the a in
+    Z_m do. S is k when u = 1, and otherwise
     (u^k - 1)/(u - 1), whose numerator is read mod m*(u - 1) so that the
     quotient is S mod m. So each N_k is a sum of gcd(n, k) terms.
     """
-    m, n, i = _presentation(name)
+    m, n, i = presentation
 
     def s(u, k):  # 1 % m is 0 when m == 1
         return k if u == 1 % m else (pow(u, k, m * (u - 1)) - 1) // (u - 1)
 
     return tuple(sum(gcd(m, s(pow(i, t, m), k)) for t in range(0, n, n // gcd(n, k))) for k in ks)
+
+
+def _divisors(n: int) -> list[int]:
+    return [k for k in range(1, n + 1) if n % k == 0]
+
+
+def _expr_counts(e: GroupExpr) -> tuple[int, tuple[int, ...]] | None:
+    """(|G|, N_k for each k dividing |G|) of the group a parsed expression
+    names, read from its tree with no table, or None.
+
+    The tree must be direct products of leaves Z n, D n and Z m : Z n [r^i]
+    on cyclic operands, whose presentations (_presentation) are (n, 1, 1),
+    (n, 2, -1) and (m, n, i): each leaf's N_k is _counts's closed form, and
+    (a, b)^k = e exactly when a^k = e and b^k = e, so N_k multiplies over
+    direct factors. None for any other tree, such as one with Hol or [#j],
+    for |G| past DEFAULT_SIZE_CAP, and for an [r^i] that power_action
+    refuses: its rule, construct._check_power, holds for every Z and D.
+    """
+    leaves, todo = [], [e]
+    for e in todo:  # list iterators see nodes appended while they run
+        if isinstance(e, Product):
+            todo += (e.left, e.right)
+        elif isinstance(e, (Cyclic, Dihedral)):
+            leaves.append((e.n, 1, 1) if isinstance(e, Cyclic) else (e.n, 2, -1))
+        elif (isinstance(e, Semidirect) and isinstance(e.action, CyclicPower)
+              and isinstance(e.k_expr, Cyclic) and isinstance(e.h_expr, Cyclic)):
+            leaves.append((e.k_expr.n, e.h_expr.n, e.action.i))
+        else:
+            return None
+    if (order := prod(m * n for m, n, _ in leaves)) > DEFAULT_SIZE_CAP:
+        return None
+    try:
+        for leaf in leaves:
+            _check_power(*leaf)
+    except ValueError:
+        return None
+    ks = _divisors(order)
+    return order, tuple(map(prod, zip(*(_counts(leaf, ks) for leaf in leaves))))
 
 
 def _presents(g: GroupTable, name: CatalogName) -> bool:
@@ -165,7 +204,7 @@ def _factorings(order: int, ks=(), goal: tuple[int, ...] = ()):
     k in ks, only lists whose product has those counts: N_k multiplies over
     direct factors, so a prefix whose N_k does not divide goal's has no match.
     """
-    n_of = cache(lambda name: _counts(name, ks))
+    n_of = cache(lambda name: _counts(_presentation(name), ks))
 
     def walk(rest, least, got):
         for d in range(least[0], isqrt(rest) + 1):
@@ -222,12 +261,12 @@ def identify(g: GroupTable) -> CatalogName:
     else:
         return CatalogName("abelian-product", invs, " x ".join(f"Z{d}" for d in invs))
     basics, spec = list(_basic_pool(n)), order_spectrum(g)
-    ks = [k for k in range(1, n + 1) if n % k == 0]
+    ks = _divisors(n)
     goal = tuple(sum(c for d, c in spec.items() if k % d == 0) for k in ks)
 
     def single(kind):
-        return next((b for b in basics if b.kind == kind and _counts(b, ks) == goal
-                     and _presents(g, b)), None)
+        return next((b for b in basics if b.kind == kind
+                     and _counts(_presentation(b), ks) == goal and _presents(g, b)), None)
 
     if dihedral := single("dihedral"):
         return dihedral

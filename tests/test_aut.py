@@ -298,15 +298,66 @@ class TestCharacteristic:
             is_characteristic(g, subgroup_generated(g, [1]))
 
 
-def test_chain_matches_the_full_search():
-    # every Z m x Z n, D m x Z n and Z m : Z n [r^i] of order <= 48, and Hol n for n <= 13
+def _chain_battery() -> list[str]:
+    """Every Z m x Z n, D m x Z n and Z m : Z n [r^i] of order <= 48, and Hol n for n <= 13."""
     battery = [f"Z{m} x Z{n}" for m in range(2, 25) for n in range(m, 25) if m * n <= 48]
     battery += [f"D{m} x Z{n}" for m in range(3, 25) for n in range(2, 25) if 2 * m * n <= 48]
     battery += [f"Z{m} : Z{n} [r^{i}]" for m in range(3, 25) for n in range(2, 25) if m * n <= 48
                 for i in range(2, m) if math.gcd(i, m) == 1 and pow(i, n, m) == 1]
     battery += [f"Hol {n}" for n in range(2, 14)]
     assert len(battery) == 182
-    for expr in battery:
+    return battery
+
+
+def _unpruned_chain(g):
+    """_aut_chain's walk with no dead set: one search for every point of g_t's
+    order outside g_t's orbit."""
+    gens, orders = g.gens_and_plans[0], g.orders
+    strong, vectors = [], []
+    for t, x in reversed([*enumerate(gens)]):
+        orbit = {x: None}
+        for w in range(g.order):
+            if orders[w] != orders[x] or w in orbit:
+                continue
+            if found := groupkit._search.search_morphisms(
+                    g, g, bijective=True, first_only=True, fixed=(*gens[:t], w)):
+                strong.append(found[0])
+                queue = list(orbit)
+                for p in queue:
+                    for i, s in enumerate(strong):
+                        if s[p] not in orbit:
+                            orbit[s[p]] = (i, p)
+                            queue.append(s[p])
+        vectors.insert(0, orbit)
+    return strong, vectors
+
+
+def test_pruned_chain_matches_the_unpruned_walk():
+    # the same strong generators, and each vector with the same entries in the same order
+    for expr in _chain_battery():
+        strong, vectors = _unpruned_chain(parse_and_eval(expr))
+        got_strong, got_vectors = groupkit.aut._aut_chain(parse_and_eval(expr), DEFAULT_AUT_CAP)
+        assert list(got_strong) == strong, expr
+        assert [list(v.items()) for v in got_vectors] == [list(v.items()) for v in vectors], expr
+
+
+@pytest.mark.parametrize("expr, failed", [("Hol 32", 194), ("D4 x Z8", 13)])
+def test_chain_skips_the_orbits_of_failed_points(monkeypatch, expr, failed):
+    # the unpruned walk made 366 and 43 failed searches
+    misses, search = [], groupkit.aut.search_morphisms
+
+    def counting(*args, **kwargs):
+        found = search(*args, **kwargs)
+        misses.append(not found)
+        return found
+
+    monkeypatch.setattr(groupkit.aut, "search_morphisms", counting)
+    groupkit.aut._aut_chain(parse_and_eval(expr), DEFAULT_AUT_CAP)
+    assert sum(misses) <= failed
+
+
+def test_chain_matches_the_full_search():
+    for expr in _chain_battery():
         g = parse_and_eval(expr)
         oracle = groupkit._search.search_morphisms(g, g, bijective=True)
         assert [a.image for a in automorphisms(g)] == oracle, expr

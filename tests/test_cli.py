@@ -12,6 +12,7 @@ import pytest
 
 import groupkit
 import groupkit.cli
+import groupkit.construct
 from groupkit.cli import main
 from groupkit.core import GroupTable, to_json_dict
 from groupkit.expr import parse_and_eval
@@ -91,6 +92,36 @@ class TestIso:
     def test_trivial_pair_has_no_generators_to_map(self, capsys):
         assert main(["iso", "Z1", "Z1"]) == 0
         assert capsys.readouterr().out == "isomorphic; both groups are trivial\n"
+
+    def test_closed_form_counts_change_no_answer(self, capsys, monkeypatch):
+        # closed-form pairs with and without an isomorphism, forms the counts defer on
+        # (Hol, [#j], [r^i] that does not build), and texts that raise
+        battery = ["Z1", "Z2", "D1", "Z4", "Z2 x Z2", "D2", "Z6", "Z2 x Z3", "D3",
+                   "Z3 : Z2 [r^2]", "D4", "Z8", "Z2 x Z4", "Z4 : Z2 [r^3]", "Z8 : Z2 [r^3]",
+                   "Z8 : Z2 [r^5]", "Z8 : Z2 [r^7]", "D8", "Z2 x D4", "Z13 : Z12 [r^2]",
+                   "Hol 13", "Z8 : Z2 [#1]", "Z8 : Z3 [r^3]", "D4 : Z2 [r^3]",
+                   "Z8 : Z2 [#9]", "Z5000", "Hol 5000", "Z2 x"]
+        answered = 0
+
+        def run(pair):
+            code = main(["iso", *pair])
+            return (code, *capsys.readouterr())
+
+        for pair in [(a, b) for a in battery for b in battery]:
+            answered += groupkit.cli._counts_differ(*pair)
+            got = run(pair)
+            with monkeypatch.context() as patch:
+                patch.setattr(groupkit.cli, "_counts_differ", lambda *texts: False)
+                assert got == run(pair), pair
+        assert answered == 20 * 20 - 32  # 20 closed-form texts; 32 ordered pairs share counts
+
+    def test_closed_form_counts_refute_without_a_table(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("iso built a table")
+
+        monkeypatch.setattr(groupkit.construct, "semidirect", refuse)
+        assert main(["iso", "D96", "D48 x Z2"]) == 1
+        assert capsys.readouterr().out == "not isomorphic\n"
 
 
 class TestIdentify:

@@ -23,8 +23,8 @@ from functools import cache
 from .aut import aut_group
 from .construct import action_classes, hom_set
 from .core import GroupTable, SizeCapError, center, is_abelian, order_spectrum, to_json_dict
-from .expr import ExprError, parse_and_eval, parse_expr
-from .iso import _expr_counts, are_isomorphic, identify
+from .expr import ExprError, GroupExpr, eval_expr, parse_and_eval, parse_expr
+from .iso import _expr_counts, _expr_info, are_isomorphic, identify
 from ._search import generating_sequence
 from .verify import VerifyReport, report_to_json, run_all
 
@@ -34,16 +34,20 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _spectrum_text(g: GroupTable) -> str:
-    return " ".join(f"{order}^{count}" for order, count in sorted(order_spectrum(g).items()))
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
-    g = parse_and_eval(args.expr)
-    print(f"order: {g.order}")
-    print(f"abelian: {'yes' if is_abelian(g) else 'no'}")
-    print(f"center size: {len(center(g))}")
-    print(f"order spectrum: {_spectrum_text(g)}")
+    """Order, abelian flag, centre size and order spectrum: read from the
+    tree's presentations (iso._expr_info) when it holds only Z, D, x and
+    valid [r^i] on cyclic operands within the size cap, else from its table,
+    which raises any evaluation or size-cap error."""
+    tree = parse_expr(args.expr)
+    if (info := _expr_info(tree)) is None:
+        g = eval_expr(tree)
+        info = g.order, is_abelian(g), len(center(g)), order_spectrum(g)
+    order, abelian, centre, spectrum = info
+    print(f"order: {order}")
+    print(f"abelian: {'yes' if abelian else 'no'}")
+    print(f"center size: {centre}")
+    print("order spectrum: " + " ".join(f"{d}^{c}" for d, c in sorted(spectrum.items())))
     return EXIT_OK
 
 
@@ -58,32 +62,34 @@ def _cmd_aut(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _counts_differ(text1: str, text2: str) -> bool:
-    """True when the closed-form counts of the two expressions' trees
+def _counts_differ(tree1: GroupExpr, tree2: GroupExpr) -> bool:
+    """True when the closed-form counts of the two parsed expressions
     (iso._expr_counts) differ, with no table built; False defers.
 
     |G| and N_k = |{x : x^k = e}| for each k dividing |G| are isomorphism
-    invariants, so groups whose counts differ are not isomorphic. Both texts
-    must parse, be within the size cap and hold only Z, D, x and valid [r^i]
-    on cyclic operands; then both tables would build, and are_isomorphic,
-    whose square-root counts hold the order spectrum from which each N_k
-    sums, would answer None before any search. Anything else, a text with
-    Hol or [#j], an error, or equal counts, returns False, and _cmd_iso
+    invariants, so groups whose counts differ are not isomorphic. Both trees
+    must be within the size cap and hold only Z, D, x and valid [r^i] on
+    cyclic operands; then both tables would build, and are_isomorphic, whose
+    square-root counts hold the order spectrum from which each N_k sums,
+    would answer None before any search. Anything else, a tree with Hol or
+    [#j], one that raises, or equal counts, returns False, and _cmd_iso
     builds, searches and raises as it would without this check.
     """
-    try:
-        first, second = (_expr_counts(parse_expr(text)) for text in (text1, text2))
-    except ExprError:
-        return False
+    first, second = _expr_counts(tree1), _expr_counts(tree2)
     return None not in (first, second) and first != second
 
 
 def _cmd_iso(args: argparse.Namespace) -> int:
-    if _counts_differ(args.expr1, args.expr2):
+    tree1 = parse_expr(args.expr1)
+    try:
+        tree2 = parse_expr(args.expr2)
+    except ExprError:
+        eval_expr(tree1)  # text 1's evaluation error comes before text 2's syntax error
+        raise
+    if _counts_differ(tree1, tree2):
         print("not isomorphic")
         return EXIT_NEGATIVE
-    g1 = parse_and_eval(args.expr1)
-    g2 = parse_and_eval(args.expr2)
+    g1, g2 = eval_expr(tree1), eval_expr(tree2)
     witness = are_isomorphic(g1, g2)
     if witness is None:
         print("not isomorphic")

@@ -110,7 +110,7 @@ def power_action(h_group: GroupTable, k_group: GroupTable, i: int) -> Action:
     A group with identity 0 and row 1 equal to 1, 2, ..., n-1, 0 has 1^x = x
     for x < n, by induction, so x*y = 1^(x+y) = x + y mod n. Whether the
     action exists is the one rule _check_power decides from (m, n, i), which
-    iso._expr_counts applies with no table; the action sends t to maps[t],
+    iso._expr_leaves applies with no table; the action sends t to maps[t],
     x -> i^t * x. So the action skips Action's check (_trusted).
     """
     m, n = k_group.order, h_group.order

@@ -13,7 +13,7 @@ from .core import DEFAULT_SIZE_CAP, GroupTable, Morphism, is_abelian, order_spec
 from ._search import search_morphisms
 from .construct import _check_power
 from .expr import Cyclic, CyclicPower, Dihedral, GroupExpr, Product, Semidirect, parse_and_eval
-from .numth import factorize, totatives
+from .numth import factorize, multiplicative_order, totatives
 
 SEMIDIRECT_POOL_LIMIT = 128
 
@@ -122,17 +122,14 @@ def _divisors(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if n % k == 0]
 
 
-def _expr_counts(e: GroupExpr) -> tuple[int, tuple[int, ...]] | None:
-    """(|G|, N_k for each k dividing |G|) of the group a parsed expression
-    names, read from its tree with no table, or None.
-
-    The tree must be direct products of leaves Z n, D n and Z m : Z n [r^i]
-    on cyclic operands, whose presentations (_presentation) are (n, 1, 1),
-    (n, 2, -1) and (m, n, i): each leaf's N_k is _counts's closed form, and
-    (a, b)^k = e exactly when a^k = e and b^k = e, so N_k multiplies over
-    direct factors. None for any other tree, such as one with Hol or [#j],
-    for |G| past DEFAULT_SIZE_CAP, and for an [r^i] that power_action
-    refuses: its rule, construct._check_power, holds for every Z and D.
+def _expr_leaves(e: GroupExpr) -> list[tuple[int, int, int]] | None:
+    """The presentations (m, n, i) (_presentation) of the leaves of a parsed
+    expression that is direct products of Z n, D n and Z m : Z n [r^i] on
+    cyclic operands, read from its tree with no table: (n, 1, 1), (n, 2, -1)
+    and (m, n, i). None for any other tree, such as one with Hol or [#j],
+    for |G| = prod m*n past DEFAULT_SIZE_CAP, and for an [r^i] that
+    power_action refuses: its rule, construct._check_power, holds for every
+    Z and D. So a tree with leaves evaluates with no error.
     """
     leaves, todo = [], [e]
     for e in todo:  # list iterators see nodes appended while they run
@@ -145,15 +142,64 @@ def _expr_counts(e: GroupExpr) -> tuple[int, tuple[int, ...]] | None:
             leaves.append((e.k_expr.n, e.h_expr.n, e.action.i))
         else:
             return None
-    if (order := prod(m * n for m, n, _ in leaves)) > DEFAULT_SIZE_CAP:
+    if prod(m * n for m, n, _ in leaves) > DEFAULT_SIZE_CAP:
         return None
     try:
         for leaf in leaves:
             _check_power(*leaf)
     except ValueError:
         return None
-    ks = _divisors(order)
+    return leaves
+
+
+def _leaf_counts(leaves: list[tuple[int, int, int]]) -> tuple[int, tuple[int, ...]]:
+    """(|G|, N_k for each k dividing |G|) of the direct product of the
+    leaves' groups: each leaf's N_k is _counts's closed form, and
+    (a, b)^k = e exactly when a^k = e and b^k = e, so N_k multiplies over
+    direct factors."""
+    ks = _divisors(order := prod(m * n for m, n, _ in leaves))
     return order, tuple(map(prod, zip(*(_counts(leaf, ks) for leaf in leaves))))
+
+
+def _expr_counts(e: GroupExpr) -> tuple[int, tuple[int, ...]] | None:
+    """(|G|, N_k for each k dividing |G|) of the group a parsed expression
+    names, read from its leaves (_expr_leaves) with no table, or None."""
+    leaves = _expr_leaves(e)
+    return None if leaves is None else _leaf_counts(leaves)
+
+
+def _expr_info(e: GroupExpr) -> tuple[int, bool, int, dict[int, int]] | None:
+    """(|G|, abelian, |Z(G)|, order spectrum) of the group a parsed
+    expression names, read from its leaves' presentations (m, n, i)
+    (_expr_leaves) with no table, or None.
+
+    G is the direct product of the leaves' Z_m x| Z_n, s acting by r -> r^i.
+    - |G| is prod m*n.
+    - G is abelian exactly when every leaf has i = 1 mod m: Z_m x| Z_n is
+      abelian exactly when s acts trivially, as s*r*s^-1 = r^i, and a direct
+      product is abelian exactly when each factor is.
+    - |Z(G)| is prod gcd(i - 1, m) * n / ord_m(i). Under
+      (k1, h1)(k2, h2) = (k1 + i^h1*k2, h1 + h2), (a, t) commutes with
+      r = (1, 0) exactly when i^t = 1 mod m, which n / ord_m(i) of the t in
+      Z_n do (ord_m(i) divides n, _check_power), and with s = (0, 1) exactly
+      when (i - 1)*a = 0 mod m, which gcd(i - 1, m) of the a in Z_m do.
+      Commuting with the generators r and s is enough, and the centre of a
+      direct product is the product of the centres.
+    - The order spectrum is the Moebius inversion of the counts N_k
+      (_leaf_counts): N_d counts the elements whose order divides d, so for
+      each divisor d of |G| in ascending order, #(order d) is N_d less
+      #(order q) summed over the q < d dividing d. Only nonzero counts are
+      listed, as order_spectrum lists them.
+    """
+    if (leaves := _expr_leaves(e)) is None:
+        return None
+    order, counts = _leaf_counts(leaves)
+    spectrum: dict[int, int] = {}
+    for d, n_d in zip(_divisors(order), counts):
+        spectrum[d] = n_d - sum(c for q, c in spectrum.items() if d % q == 0)
+    return (order, all(i % m == 1 % m for m, _, i in leaves),
+            prod(gcd(i - 1, m) * n // multiplicative_order(i, m) for m, n, i in leaves),
+            {d: c for d, c in spectrum.items() if c})
 
 
 def _presents(g: GroupTable, name: CatalogName) -> bool:

@@ -2,7 +2,9 @@
 
 import gc
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from functools import cached_property
@@ -42,6 +44,8 @@ class TestInfo:
         spy = cached_property(counted)
         spy.__set_name__(GroupTable, "gens_and_plans")
         monkeypatch.setattr(GroupTable, "gens_and_plans", spy)
+        # all three have closed forms; deferring keeps info on the table path this test checks
+        monkeypatch.setattr(groupkit.cli, "_expr_info", lambda tree: None)
         assert main(["info", expr]) == 0
         assert capsys.readouterr().out.startswith("order: ")
         assert calls == []
@@ -51,6 +55,62 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "abelian: yes" in out
         assert "order spectrum: 1^1 2^1 3^2 6^2" in out
+
+    def test_closed_form_matches_the_table_path(self, capsys, monkeypatch):
+        """info with iso._expr_info against info with it patched to defer:
+        every Z n and D n for n <= 64, every Z m : Z n [r^i] with m*n <= 128
+        and -m <= i < 2m (a negative i is a syntax error, most of the rest
+        are refused actions), seeded products of two or three of the leaves
+        that build, up to order 256, and edge cases."""
+        answers, expr_info = [], groupkit.cli._expr_info
+
+        def spy(tree):
+            answers.append(expr_info(tree))
+            return answers[-1]
+
+        def outputs(texts, reader):
+            with monkeypatch.context() as patch:
+                patch.setattr(groupkit.cli, "_expr_info", reader)
+                return [(main(["info", text]), *capsys.readouterr()) for text in texts]
+
+        def check(texts):
+            """The table path's (exit code, stdout, stderr) for each text, after
+            checking that the closed-form reader changes none of them."""
+            table = outputs(texts, lambda tree: None)
+            for text, closed, want in zip(texts, outputs(texts, spy), table):
+                assert closed == want, text
+            return table
+
+        leaves = [f"{kind}{n}" for kind in "ZD" for n in range(1, 65)] + [
+            f"Z{m} : Z{n} [r^{i}]" for m in range(1, 129) for n in range(1, 128 // m + 1)
+            for i in range(-m, 2 * m)]
+        built = [(text, int(out.split()[1]))
+                 for text, (code, out, _) in zip(leaves, check(leaves)) if code == 0]
+        assert len(built) == 128 + 2246
+        rng, products = random.Random(0), []
+        while len(products) < 300:
+            parts = rng.sample(built, rng.choice((2, 3)))
+            if math.prod(order for _, order in parts) <= 256:
+                products.append(" x ".join(text for text, _ in parts))
+        check(products + ["Z1", "D1", "D2", "Z1 : Z1 [r^0]", "Z9999", "Z8 : Z2 [r^2]",
+                          "Z2 x", "Hol 8", "Z8 : Z2 [#1]", "Z2 x Hol 5"])
+        assert sum(info is not None for info in answers) == 128 + 2246 + 300 + 4
+
+    def test_closed_form_builds_no_table_at_the_size_cap(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("info built a table")
+
+        monkeypatch.setattr(groupkit.construct, "cyclic", refuse)
+        monkeypatch.setattr(groupkit.construct, "semidirect", refuse)
+        assert main(["info", "D2048"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "order: 4096", "abelian: no", "center size: 2",
+            "order spectrum: 1^1 2^2049 4^2 8^4 16^8 32^16 64^32 128^64 256^128 512^256 "
+            "1024^512 2048^1024"]
+        assert main(["info", "Z64 x Z64"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "order: 4096", "abelian: yes", "center size: 4096",
+            "order spectrum: 1^1 2^3 4^12 8^48 16^192 32^768 64^3072"]
 
 
 class TestAut:
@@ -101,19 +161,28 @@ class TestIso:
                    "Z8 : Z2 [r^5]", "Z8 : Z2 [r^7]", "D8", "Z2 x D4", "Z13 : Z12 [r^2]",
                    "Hol 13", "Z8 : Z2 [#1]", "Z8 : Z3 [r^3]", "D4 : Z2 [r^3]",
                    "Z8 : Z2 [#9]", "Z5000", "Hol 5000", "Z2 x"]
-        answered = 0
+        answers, counts_differ = [], groupkit.cli._counts_differ
 
         def run(pair):
             code = main(["iso", *pair])
             return (code, *capsys.readouterr())
 
+        def spy(*trees):
+            answers.append(counts_differ(*trees))
+            return answers[-1]
+
+        monkeypatch.setattr(groupkit.cli, "_counts_differ", spy)
         for pair in [(a, b) for a in battery for b in battery]:
-            answered += groupkit.cli._counts_differ(*pair)
             got = run(pair)
             with monkeypatch.context() as patch:
-                patch.setattr(groupkit.cli, "_counts_differ", lambda *texts: False)
+                patch.setattr(groupkit.cli, "_counts_differ", lambda *trees: False)
                 assert got == run(pair), pair
-        assert answered == 20 * 20 - 32  # 20 closed-form texts; 32 ordered pairs share counts
+        assert sum(answers) == 20 * 20 - 32  # 20 closed-form texts; 32 ordered pairs share counts
+
+    def test_text_one_evaluation_error_comes_before_text_two_syntax_error(self, capsys):
+        assert main(["iso", "Z8 : Z2 [r^2]", "Z2 x"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: r^2 is not an automorphism of Z8: gcd(2, 8) != 1\n")
 
     def test_closed_form_counts_refute_without_a_table(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

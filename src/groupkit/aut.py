@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 
-from .core import GroupTable, Morphism, SizeCapError, SubgroupRef, _compose_rows
+from .core import GroupTable, Morphism, SizeCapError, SubgroupRef, _compose_rows, _extend_orbit
 from ._search import generating_sequence, search_morphisms
 
 DEFAULT_AUT_CAP = 10_000
@@ -46,28 +46,17 @@ def _aut_chain(g: GroupTable, cap: int) -> tuple[_Images, tuple[dict, ...]]:
         gens, orders = g.gens_and_plans[0], g.orders
         strong, vectors = [], []
         for t, x in reversed([*enumerate(gens)]):
-            orbit: dict[int, tuple[int, int] | None] = {x: None}
-            dead = set()
+            orbit, dead = {x: None}, {}  # each q -> (i, p) with q = S[i][p]
             for w in range(g.order):
                 if orders[w] != orders[x] or w in orbit or w in dead:
                     continue
                 if found := search_morphisms(g, g, bijective=True, first_only=True,
                                              fixed=(*gens[:t], w)):
                     strong.append(found[0])
-                    queue = list(orbit)
-                    for p in queue:
-                        for i, s in enumerate(strong):
-                            if s[p] not in orbit:
-                                orbit[s[p]] = (i, p)
-                                queue.append(s[p])
+                    _extend_orbit(orbit, strong, orbit)
                 else:
-                    dead.add(w)
-                    queue = [w]
-                    for p in queue:
-                        for s in strong:
-                            if s[p] not in dead:
-                                dead.add(s[p])
-                                queue.append(s[p])
+                    dead[w] = None
+                    _extend_orbit(dead, strong, [w])
             vectors.insert(0, orbit)
         chain = g.__dict__["_aut_chain"] = tuple(strong), tuple(vectors)
     strong, vectors = chain

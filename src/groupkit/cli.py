@@ -23,8 +23,8 @@ from functools import cache
 from .aut import aut_group
 from .construct import action_classes, hom_set
 from .core import GroupTable, SizeCapError, center, is_abelian, order_spectrum, to_json_dict
-from .expr import ExprError, GroupExpr, eval_expr, parse_and_eval, parse_expr
-from .iso import _expr_counts, _expr_info, are_isomorphic, identify
+from .expr import ExprError, eval_expr, parse_and_eval, parse_expr
+from .iso import _expr_info, are_isomorphic, identify
 from ._search import generating_sequence
 from .verify import VerifyReport, report_to_json, run_all
 
@@ -62,23 +62,6 @@ def _cmd_aut(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _counts_differ(tree1: GroupExpr, tree2: GroupExpr) -> bool:
-    """True when the closed-form counts of the two parsed expressions
-    (iso._expr_counts) differ, with no table built; False defers.
-
-    |G| and N_k = |{x : x^k = e}| for each k dividing |G| are isomorphism
-    invariants, so groups whose counts differ are not isomorphic. Both trees
-    must be within the size cap and hold only Z, D, x and valid [r^i] on
-    cyclic operands; then both tables would build, and are_isomorphic, whose
-    square-root counts hold the order spectrum from which each N_k sums,
-    would answer None before any search. Anything else, a tree with Hol or
-    [#j], one that raises, or equal counts, returns False, and _cmd_iso
-    builds, searches and raises as it would without this check.
-    """
-    first, second = _expr_counts(tree1), _expr_counts(tree2)
-    return None not in (first, second) and first != second
-
-
 def _cmd_iso(args: argparse.Namespace) -> int:
     tree1 = parse_expr(args.expr1)
     try:
@@ -86,7 +69,11 @@ def _cmd_iso(args: argparse.Namespace) -> int:
     except ExprError:
         eval_expr(tree1)  # text 1's evaluation error comes before text 2's syntax error
         raise
-    if _counts_differ(tree1, tree2):
+    # are_isomorphic compares all four values before it searches: the order, the spectrum in
+    # _root_key, and the class sizes in _class_key, whose 1s count the centre (|G| if abelian).
+    # A tree with an _expr_info evaluates with no error, so no exit code or output changes.
+    info1, info2 = _expr_info(tree1), _expr_info(tree2)
+    if None not in (info1, info2) and info1 != info2:
         print("not isomorphic")
         return EXIT_NEGATIVE
     g1, g2 = eval_expr(tree1), eval_expr(tree2)

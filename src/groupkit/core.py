@@ -118,12 +118,7 @@ class GroupTable:
                  for s in self.generators]
         for x in range(self.order):
             if not size[x]:
-                orbit, size[x] = [x], 1
-                for y in orbit:  # list iterators see elements appended while they run
-                    for p in perms:
-                        if not size[p[y]]:
-                            size[p[y]] = 1
-                            orbit.append(p[y])
+                orbit = _extend_orbit({x: None}, perms, [x])
                 for y in orbit:
                     size[y] = len(orbit)
         return tuple((o, r, c) for (o, r), c in zip(self._root_key, size))
@@ -446,6 +441,18 @@ def _coset_closure(mul, subgroup: Collection[int], gens: Sequence[int], y: int) 
                 reps.append(row[s])
                 members.update(mul[h][row[s]] for h in subgroup)
     return members
+
+
+def _extend_orbit(orbit: dict, perms: Sequence[Sequence[int]], start: Iterable[int]) -> dict:
+    """orbit, a dict q -> (i, p) with q = perms[i][p], extended breadth first by
+    the points perms reach from start's points, which are keys already; keys are not revisited."""
+    queue = list(start)
+    for p in queue:  # list iterators see points appended while they run
+        for i, s in enumerate(perms):
+            if (q := s[p]) not in orbit:
+                orbit[q] = i, p
+                queue.append(q)
+    return orbit
 
 
 def _greedy_walk(mul, identity: int, candidates: Iterable[int]) -> Iterator[tuple[int, set[int]]]:

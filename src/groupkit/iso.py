@@ -152,22 +152,6 @@ def _expr_leaves(e: GroupExpr) -> list[tuple[int, int, int]] | None:
     return leaves
 
 
-def _leaf_counts(leaves: list[tuple[int, int, int]]) -> tuple[int, tuple[int, ...]]:
-    """(|G|, N_k for each k dividing |G|) of the direct product of the
-    leaves' groups: each leaf's N_k is _counts's closed form, and
-    (a, b)^k = e exactly when a^k = e and b^k = e, so N_k multiplies over
-    direct factors."""
-    ks = _divisors(order := prod(m * n for m, n, _ in leaves))
-    return order, tuple(map(prod, zip(*(_counts(leaf, ks) for leaf in leaves))))
-
-
-def _expr_counts(e: GroupExpr) -> tuple[int, tuple[int, ...]] | None:
-    """(|G|, N_k for each k dividing |G|) of the group a parsed expression
-    names, read from its leaves (_expr_leaves) with no table, or None."""
-    leaves = _expr_leaves(e)
-    return None if leaves is None else _leaf_counts(leaves)
-
-
 def _expr_info(e: GroupExpr) -> tuple[int, bool, int, dict[int, int]] | None:
     """(|G|, abelian, |Z(G)|, order spectrum) of the group a parsed
     expression names, read from its leaves' presentations (m, n, i)
@@ -185,18 +169,22 @@ def _expr_info(e: GroupExpr) -> tuple[int, bool, int, dict[int, int]] | None:
       when (i - 1)*a = 0 mod m, which gcd(i - 1, m) of the a in Z_m do.
       Commuting with the generators r and s is enough, and the centre of a
       direct product is the product of the centres.
-    - The order spectrum is the Moebius inversion of the counts N_k
-      (_leaf_counts): N_d counts the elements whose order divides d, so for
-      each divisor d of |G| in ascending order, #(order d) is N_d less
-      #(order q) summed over the q < d dividing d. Only nonzero counts are
-      listed, as order_spectrum lists them.
+    - The order spectrum is the Moebius inversion of N_k = |{x : x^k = e}|
+      for k | |G|: N_k is _counts's closed form for a leaf and multiplies over
+      direct factors, as (a, b)^k = e exactly when a^k = e and b^k = e. N_d
+      sums #(order q) over q | d. For each prime p of |G|, N_d less N_{d/p}
+      for each d that p divides, in descending d so that N_{d/p} has not had
+      p's step, keeps the q with d's power of p; after the last prime only
+      #(order d) is left. Only nonzero counts are listed, as order_spectrum.
     """
     if (leaves := _expr_leaves(e)) is None:
         return None
-    order, counts = _leaf_counts(leaves)
-    spectrum: dict[int, int] = {}
-    for d, n_d in zip(_divisors(order), counts):
-        spectrum[d] = n_d - sum(c for q, c in spectrum.items() if d % q == 0)
+    ks = _divisors(order := prod(m * n for m, n, _ in leaves))
+    spectrum = dict(zip(ks, map(prod, zip(*(_counts(leaf, ks) for leaf in leaves)))))
+    for p, _ in factorize(order):
+        for d in reversed(ks):
+            if d % p == 0:
+                spectrum[d] -= spectrum[d // p]
     return (order, all(i % m == 1 % m for m, _, i in leaves),
             prod(gcd(i - 1, m) * n // multiplicative_order(i, m) for m, n, i in leaves),
             {d: c for d, c in spectrum.items() if c})

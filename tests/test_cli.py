@@ -154,30 +154,37 @@ class TestIso:
         assert capsys.readouterr().out == "isomorphic; both groups are trivial\n"
 
     def test_closed_form_counts_change_no_answer(self, capsys, monkeypatch):
-        # closed-form pairs with and without an isomorphism, forms the counts defer on
-        # (Hol, [#j], [r^i] that does not build), and texts that raise
+        # closed-form pairs with and without an isomorphism, among them Z8 : Z2 [r^5] and
+        # Z8 x Z2 with equal counts N_k and centres 4 and 16, forms the closed form defers
+        # on (Hol, [#j], [r^i] that does not build), and texts that raise
         battery = ["Z1", "Z2", "D1", "Z4", "Z2 x Z2", "D2", "Z6", "Z2 x Z3", "D3",
                    "Z3 : Z2 [r^2]", "D4", "Z8", "Z2 x Z4", "Z4 : Z2 [r^3]", "Z8 : Z2 [r^3]",
-                   "Z8 : Z2 [r^5]", "Z8 : Z2 [r^7]", "D8", "Z2 x D4", "Z13 : Z12 [r^2]",
-                   "Hol 13", "Z8 : Z2 [#1]", "Z8 : Z3 [r^3]", "D4 : Z2 [r^3]",
-                   "Z8 : Z2 [#9]", "Z5000", "Hol 5000", "Z2 x"]
-        answers, counts_differ = [], groupkit.cli._counts_differ
+                   "Z8 : Z2 [r^5]", "Z8 x Z2", "Z8 : Z2 [r^7]", "D8", "Z2 x D4",
+                   "Z13 : Z12 [r^2]", "Hol 13", "Z8 : Z2 [#1]", "Z8 : Z3 [r^3]",
+                   "D4 : Z2 [r^3]", "Z8 : Z2 [#9]", "Z5000", "Hol 5000", "Z2 x"]
+        calls = []
 
         def run(pair):
             code = main(["iso", *pair])
             return (code, *capsys.readouterr())
 
-        def spy(*trees):
-            answers.append(counts_differ(*trees))
-            return answers[-1]
+        def spy(name, read):
+            def reader(tree):
+                calls.append(name)
+                return read(tree)
+            return reader
 
-        monkeypatch.setattr(groupkit.cli, "_counts_differ", spy)
+        refuted = 0
+        monkeypatch.setattr(groupkit.cli, "_expr_info", spy("info", groupkit.cli._expr_info))
+        monkeypatch.setattr(groupkit.cli, "eval_expr", spy("table", groupkit.cli.eval_expr))
         for pair in [(a, b) for a in battery for b in battery]:
+            calls.clear()
             got = run(pair)
+            refuted += calls == ["info", "info"]  # both read, and answered with no table
             with monkeypatch.context() as patch:
-                patch.setattr(groupkit.cli, "_counts_differ", lambda *trees: False)
+                patch.setattr(groupkit.cli, "_expr_info", lambda tree: None)
                 assert got == run(pair), pair
-        assert sum(answers) == 20 * 20 - 32  # 20 closed-form texts; 32 ordered pairs share counts
+        assert refuted == 21 * 21 - 33  # 21 closed-form texts; 33 ordered pairs share them
 
     def test_text_one_evaluation_error_comes_before_text_two_syntax_error(self, capsys):
         assert main(["iso", "Z8 : Z2 [r^2]", "Z2 x"]) == 2
@@ -190,6 +197,9 @@ class TestIso:
 
         monkeypatch.setattr(groupkit.construct, "semidirect", refuse)
         assert main(["iso", "D96", "D48 x Z2"]) == 1
+        assert capsys.readouterr().out == "not isomorphic\n"
+        # equal counts N_k; the centres, 32 and 8, differ
+        assert main(["iso", "Z16 x Z2", "Z16 : Z2 [r^9]"]) == 1
         assert capsys.readouterr().out == "not isomorphic\n"
 
 

@@ -28,7 +28,7 @@ from groupkit.iso import (
     CatalogName,
     _basic_pool,
     _counts,
-    _expr_counts,
+    _expr_info,
     _factorings,
     _presentation,
     _presents,
@@ -492,51 +492,13 @@ def test_basic_counts_are_closed_form(monkeypatch):
                             for k in range(1, 2 * order + 1)), name.display
 
 
-def _built_counts(text: str) -> tuple[int, tuple[int, ...]]:
-    """|G| and N_k for each k dividing |G|, summed from the built table's order spectrum."""
-    g = parse_and_eval(text)
-    spec = order_spectrum(g)
-    return g.order, tuple(sum(c for d, c in spec.items() if k % d == 0)
-                          for k in range(1, g.order + 1) if g.order % k == 0)
-
-
-def test_expr_counts_match_the_built_tables():
-    """_expr_counts against each tree's table: every Z n and D n for n <= 64,
-    every Z m : Z n [r^i] with m*n <= 128 and 0 <= i < 2m that power_action
-    accepts (the rest give None), and seeded products of two or three of them
-    up to order 256."""
-    leaves = [(f"Z{n}", n) for n in range(1, 65)] + [(f"D{n}", 2 * n) for n in range(1, 65)]
-    refused = 0
-    for m in range(1, 129):
-        k = cyclic(m)
-        for n in range(1, 128 // m + 1):
-            h = cyclic(n, "s")
-            for i in range(2 * m):
-                text = f"Z{m} : Z{n} [r^{i}]"
-                try:
-                    power_action(h, k, i)
-                except ValueError:
-                    assert _expr_counts(parse_expr(text)) is None, text
-                    refused += 1
-                else:
-                    leaves.append((text, m * n))
-    assert (len(leaves), refused) == (128 + 2246, 24824)
-    rng, products = random.Random(0), []
-    while len(products) < 300:
-        parts = rng.sample(leaves, rng.choice((2, 3)))
-        if math.prod(order for _, order in parts) <= 256:
-            products.append(" x ".join(text for text, _ in parts))
-    for text in [text for text, _ in leaves] + products:
-        assert _expr_counts(parse_expr(text)) == _built_counts(text), text
-
-
 @pytest.mark.parametrize("text", [
     "Hol 5", "Z3 x Hol 5", "Z8 : Z2 [#1]", "D4 : Z2 [r^3]", "Z2 : D4 [r^1]",
     "(Z8 : Z2 [r^3]) : Z2 [r^1]", "Z8 : Z3 [r^3]", "Z5000", "D2048 x Z2", "Z64 x Z65"])
 def test_expr_counts_defer_past_their_trees(text):
     # Hol, [#j], [r^i] on operands that are not cyclic leaves, an action power_action
     # refuses, and orders past the size cap
-    assert _expr_counts(parse_expr(text)) is None
+    assert _expr_info(parse_expr(text)) is None
 
 
 def test_pool_keeps_the_powers_power_action_builds():

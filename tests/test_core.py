@@ -746,6 +746,34 @@ class TestComposeRows:
         assert _compose_rows(1, 0, []) == ((0,),)
 
 
+class TestExtendOrbit:
+    def test_links_reach_the_closure_and_skip_existing_keys(self):
+        rng = random.Random(0)
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            perms = [rng.sample(range(n), n) for _ in range(rng.randrange(4))]
+            start = rng.sample(range(n), rng.randrange(1, n + 1))
+            blocked = set(rng.sample(range(n), rng.randrange(n))) - set(start)
+            orbit = dict.fromkeys(start) | dict.fromkeys(blocked, "blocked")
+            groupkit.core._extend_orbit(orbit, perms, start)
+            # the points reached from start by steps that avoid the blocked keys
+            reached, frontier = set(start), list(start)
+            while frontier:
+                p = frontier.pop()
+                for s in perms:
+                    if s[p] not in reached and s[p] not in blocked:
+                        reached.add(s[p])
+                        frontier.append(s[p])
+            assert set(orbit) == reached | blocked
+            for q in blocked:
+                assert orbit[q] == "blocked"
+            for q in reached - set(start):
+                i, p = orbit[q]
+                assert perms[i][p] == q and p in reached
+                while p not in start:  # the links lead back to a start point
+                    p = orbit[p][1]
+
+
 class TestJson:
     def test_exact_key_set_and_values(self):
         g = cyclic(3)

@@ -91,16 +91,12 @@ def trivial_action(h_group: GroupTable, k_group: GroupTable) -> Action:
     return _trusted(Action, h_group, k_group, (identity_morphism(k_group),) * h_group.order)
 
 
-def _check_power(m: int, n: int, i: int) -> None:
-    """ValueError unless 1 in Z_n sending r to r^i extends to an action of
-    Z_n on Z_m, with no table: a homomorphism Z_n -> Aut(Z_m) sending 1 to
+def _acts(m: int, n: int, i: int) -> bool:
+    """True when 1 in Z_n sending r to r^i extends to an action of Z_n on
+    Z_m, with no table: a homomorphism Z_n -> Aut(Z_m) sending 1 to
     x -> i*x exists exactly when gcd(i, m) = 1 and i^n = 1 mod m, as 1^n = 0
     acts trivially."""
-    if gcd(i, m) != 1:
-        raise ValueError(f"r^{i} is not an automorphism of Z{m}: gcd({i}, {m}) != 1")
-    if pow(i, n, m) != 1 % m:  # 1 % m is 0 when m == 1
-        raise ValueError(f"r^{i} generates an automorphism of order {multiplicative_order(i, m)}"
-                         f" in Aut(Z{m}), which does not divide {n}, so Z{n} cannot act that way")
+    return gcd(i, m) == 1 and pow(i, n, m) == 1 % m  # 1 % m is 0 when m == 1
 
 
 def power_action(h_group: GroupTable, k_group: GroupTable, i: int) -> Action:
@@ -109,15 +105,19 @@ def power_action(h_group: GroupTable, k_group: GroupTable, i: int) -> Action:
 
     A group with identity 0 and row 1 equal to 1, 2, ..., n-1, 0 has 1^x = x
     for x < n, by induction, so x*y = 1^(x+y) = x + y mod n. Whether the
-    action exists is the one rule _check_power decides from (m, n, i), which
-    iso._expr_leaves applies with no table; the action sends t to maps[t],
-    x -> i^t * x. So the action skips Action's check (_trusted).
+    action exists is the one rule _acts decides from (m, n, i), which iso
+    applies with no table; the action sends t to maps[t], x -> i^t * x. So
+    the action skips Action's check (_trusted).
     """
     m, n = k_group.order, h_group.order
     if any(t.identity or t.order > 1 and tuple(t.mul[1]) != (*range(1, t.order), 0)
            for t in (h_group, k_group)):
         raise ValueError("power_action needs H and K labelled as cyclic() builds them")
-    _check_power(m, n, i)
+    if not _acts(m, n, i):
+        raise ValueError(f"r^{i} is not an automorphism of Z{m}: gcd({i}, {m}) != 1"
+                         if gcd(i, m) != 1 else
+                         f"r^{i} generates an automorphism of order {multiplicative_order(i, m)}"
+                         f" in Aut(Z{m}), which does not divide {n}, so Z{n} cannot act that way")
     return _trusted(Action, h_group, k_group, tuple(
         Morphism(k_group, k_group, tuple(pow(i, t, m) * x % m for x in range(m)))
         for t in range(n)))

@@ -9,11 +9,11 @@ from itertools import islice
 from math import gcd, isqrt, log, prod
 from operator import mul
 
-from .core import DEFAULT_SIZE_CAP, GroupTable, Morphism, is_abelian, order_spectrum
+from .core import DEFAULT_SIZE_CAP, GroupTable, Morphism, center, is_abelian, order_spectrum
 from ._search import search_morphisms
-from .construct import _check_power
+from .construct import _acts
 from .expr import Cyclic, CyclicPower, Dihedral, GroupExpr, Product, Semidirect, parse_and_eval
-from .numth import factorize, multiplicative_order, totatives
+from .numth import factorize, multiplicative_order
 
 SEMIDIRECT_POOL_LIMIT = 128
 
@@ -83,19 +83,18 @@ def _basic_pool(order: int):
             if order % m:
                 continue
             n = order // m
-            # r -> r^i needs i coprime to m, i != 1, and i^n = 1 mod m, as in power_action
-            for i in totatives(m)[1:]:
-                if pow(i, n, m) == 1:
+            for i in range(2, m):
+                if _acts(m, n, i):
                     yield CatalogName("semidirect-cyclic", (m, n, i), f"Z{m} : Z{n} [r^{i}]")
 
 
-def _presentation(name: CatalogName) -> tuple[int, int, int]:
-    """(m, n, i) for a name from _basic_pool, the group Z_m x| Z_n with s
-    acting by r -> r^i: cyclic Z_m is n = 1, i = 1, dihedral D_k is m = k,
-    n = 2, i = -1."""
-    if name.kind == "semidirect-cyclic":
-        return name.params
-    return (name.params[0], 1, 1) if name.kind == "cyclic" else (name.params[0], 2, -1)
+def _presentation(kind: str, params: tuple[int, ...]) -> tuple[int, int, int]:
+    """(m, n, i) for a name's kind and params (CatalogName, _basic_pool), the
+    group Z_m x| Z_n with s acting by r -> r^i: cyclic Z_m is n = 1, i = 1,
+    dihedral D_k is m = k, n = 2, i = -1."""
+    if kind == "semidirect-cyclic":
+        return params
+    return (params[0], 1, 1) if kind == "cyclic" else (params[0], 2, -1)
 
 
 def _counts(presentation: tuple[int, int, int], ks) -> tuple[int, ...]:
@@ -118,6 +117,21 @@ def _counts(presentation: tuple[int, int, int], ks) -> tuple[int, ...]:
     return tuple(sum(gcd(m, s(pow(i, t, m), k)) for t in range(0, n, n // gcd(n, k))) for k in ks)
 
 
+def _leaf_key(presentation: tuple[int, int, int], ks) -> tuple[int, ...]:
+    """_counts's N_k for each k in ks, then |Z(G)| = gcd(i - 1, m) * n /
+    ord_m(i), of Z_m x| Z_n with s acting by r -> r^i. Under
+    (k1, h1)(k2, h2) = (k1 + i^h1*k2, h1 + h2), (a, t) commutes with the
+    generator r = (1, 0) exactly when i^t = 1 mod m, which n / ord_m(i) of
+    the t in Z_n do (ord_m(i) divides n, construct._acts), and with
+    s = (0, 1) exactly when (i - 1)*a = 0 mod m, which gcd(i - 1, m) of the
+    a in Z_m do. Each coordinate multiplies over direct factors, as
+    (a, b)^k = e exactly when a^k = e and b^k = e, and as the centre of a
+    product is the product of the centres.
+    """
+    m, n, i = presentation
+    return (*_counts(presentation, ks), gcd(i - 1, m) * n // multiplicative_order(i, m))
+
+
 def _divisors(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if n % k == 0]
 
@@ -125,18 +139,17 @@ def _divisors(n: int) -> list[int]:
 def _expr_leaves(e: GroupExpr) -> list[tuple[int, int, int]] | None:
     """The presentations (m, n, i) (_presentation) of the leaves of a parsed
     expression that is direct products of Z n, D n and Z m : Z n [r^i] on
-    cyclic operands, read from its tree with no table: (n, 1, 1), (n, 2, -1)
-    and (m, n, i). None for any other tree, such as one with Hol or [#j],
-    for |G| = prod m*n past DEFAULT_SIZE_CAP, and for an [r^i] that
-    power_action refuses: its rule, construct._check_power, holds for every
-    Z and D. So a tree with leaves evaluates with no error.
+    cyclic operands, read from its tree with no table. None for any other
+    tree, such as one with Hol or [#j], for |G| = prod m*n past
+    DEFAULT_SIZE_CAP, and for an [r^i] that power_action refuses (_acts,
+    which holds for every Z and D), so a tree with leaves evaluates without error.
     """
     leaves, todo = [], [e]
     for e in todo:  # list iterators see nodes appended while they run
         if isinstance(e, Product):
             todo += (e.left, e.right)
         elif isinstance(e, (Cyclic, Dihedral)):
-            leaves.append((e.n, 1, 1) if isinstance(e, Cyclic) else (e.n, 2, -1))
+            leaves.append(_presentation("cyclic" if isinstance(e, Cyclic) else "dihedral", (e.n,)))
         elif (isinstance(e, Semidirect) and isinstance(e.action, CyclicPower)
               and isinstance(e.k_expr, Cyclic) and isinstance(e.h_expr, Cyclic)):
             leaves.append((e.k_expr.n, e.h_expr.n, e.action.i))
@@ -144,12 +157,7 @@ def _expr_leaves(e: GroupExpr) -> list[tuple[int, int, int]] | None:
             return None
     if prod(m * n for m, n, _ in leaves) > DEFAULT_SIZE_CAP:
         return None
-    try:
-        for leaf in leaves:
-            _check_power(*leaf)
-    except ValueError:
-        return None
-    return leaves
+    return leaves if all(_acts(*leaf) for leaf in leaves) else None
 
 
 def _expr_info(e: GroupExpr) -> tuple[int, bool, int, dict[int, int]] | None:
@@ -157,37 +165,26 @@ def _expr_info(e: GroupExpr) -> tuple[int, bool, int, dict[int, int]] | None:
     expression names, read from its leaves' presentations (m, n, i)
     (_expr_leaves) with no table, or None.
 
-    G is the direct product of the leaves' Z_m x| Z_n, s acting by r -> r^i.
-    - |G| is prod m*n.
-    - G is abelian exactly when every leaf has i = 1 mod m: Z_m x| Z_n is
-      abelian exactly when s acts trivially, as s*r*s^-1 = r^i, and a direct
-      product is abelian exactly when each factor is.
-    - |Z(G)| is prod gcd(i - 1, m) * n / ord_m(i). Under
-      (k1, h1)(k2, h2) = (k1 + i^h1*k2, h1 + h2), (a, t) commutes with
-      r = (1, 0) exactly when i^t = 1 mod m, which n / ord_m(i) of the t in
-      Z_n do (ord_m(i) divides n, _check_power), and with s = (0, 1) exactly
-      when (i - 1)*a = 0 mod m, which gcd(i - 1, m) of the a in Z_m do.
-      Commuting with the generators r and s is enough, and the centre of a
-      direct product is the product of the centres.
+    G is the direct product of the leaves' Z_m x| Z_n, s acting by r -> r^i,
+    so each coordinate of their _leaf_key multiplies to G's.
+    - |G| is prod m*n, and G is abelian exactly when Z(G) = G.
     - The order spectrum is the Moebius inversion of N_k = |{x : x^k = e}|
-      for k | |G|: N_k is _counts's closed form for a leaf and multiplies over
-      direct factors, as (a, b)^k = e exactly when a^k = e and b^k = e. N_d
-      sums #(order q) over q | d. For each prime p of |G|, N_d less N_{d/p}
-      for each d that p divides, in descending d so that N_{d/p} has not had
-      p's step, keeps the q with d's power of p; after the last prime only
-      #(order d) is left. Only nonzero counts are listed, as order_spectrum.
+      for k | |G|. N_d sums #(order q) over q | d. For each prime p of |G|,
+      N_d less N_{d/p} for each d that p divides, in descending d so that
+      N_{d/p} has not had p's step, keeps the q with d's power of p; after
+      the last prime only #(order d) is left. Only nonzero counts are listed,
+      as order_spectrum.
     """
     if (leaves := _expr_leaves(e)) is None:
         return None
     ks = _divisors(order := prod(m * n for m, n, _ in leaves))
-    spectrum = dict(zip(ks, map(prod, zip(*(_counts(leaf, ks) for leaf in leaves)))))
+    *counts, centre = map(prod, zip(*(_leaf_key(leaf, ks) for leaf in leaves)))
+    spectrum = dict(zip(ks, counts))
     for p, _ in factorize(order):
         for d in reversed(ks):
             if d % p == 0:
                 spectrum[d] -= spectrum[d // p]
-    return (order, all(i % m == 1 % m for m, _, i in leaves),
-            prod(gcd(i - 1, m) * n // multiplicative_order(i, m) for m, n, i in leaves),
-            {d: c for d, c in spectrum.items() if c})
+    return order, centre == order, centre, {d: c for d, c in spectrum.items() if c}
 
 
 def _presents(g: GroupTable, name: CatalogName) -> bool:
@@ -207,7 +204,7 @@ def _presents(g: GroupTable, name: CatalogName) -> bool:
     check per pair; once one holds, <b> is walked to its first power in
     <a>, which is e exactly when they meet only in e.
     """
-    m, n, i = _presentation(name)
+    m, n, i = _presentation(name.kind, name.params)
     mul, inv, orders, e = g.mul, g.inv, g.orders, g.identity
     bs = [b for b in range(g.order) if orders[b] == n]
     tried = set()
@@ -234,11 +231,12 @@ def _factorings(order: int, ks=(), goal: tuple[int, ...] = ()):
     multiply to order, each multiset once, ascending in (order, _basic_pool
     index), in the first-occurrence order of the walk over each divisor d,
     d*d <= order, each name a of order d, then each name and each list of
-    order order // d. With goal, the counts N_k = |{x : x^k = e}| for each
-    k in ks, only lists whose product has those counts: N_k multiplies over
-    direct factors, so a prefix whose N_k does not divide goal's has no match.
+    order order // d. With goal, the _leaf_key of the product (the counts
+    N_k = |{x : x^k = e}| for each k in ks, then |Z(G)|), only lists whose
+    product has that key: each coordinate multiplies over direct factors, so
+    a prefix whose key does not divide goal's has no match.
     """
-    n_of = cache(lambda name: _counts(_presentation(name), ks))
+    n_of = cache(lambda name: _leaf_key(_presentation(name.kind, name.params), ks))
 
     def walk(rest, least, got):
         for d in range(least[0], isqrt(rest) + 1):
@@ -254,7 +252,7 @@ def _factorings(order: int, ks=(), goal: tuple[int, ...] = ()):
                 yield from ([(d, a), *more] for more in walk(rest // d, (d, i), n_a))
 
     try:
-        yield from walk(order, (2, 0), (1,) * len(ks))
+        yield from walk(order, (2, 0), (1,) * len(goal))
     finally:
         del walk  # walk holds itself through its closure cell; free it without the cyclic GC
 
@@ -271,19 +269,21 @@ def identify(g: GroupTable) -> CatalogName:
     An abelian group is named from its element orders by abelian_invariants,
     whose O(d^2) commutativity test is the only one identify runs, with no
     search. For the rest, the candidates are walked in that order, each
-    filtered by G's counts N_k = |{x : x^k = e}| for k | |G|, which sum the
-    order spectrum over k's divisors and so hold it: the dihedral and
-    semidirect names whose closed-form counts (_counts) are G's, each then
-    checked against its presentation (_presents) with no table, and between
-    them the factor multisets _factorings lists for those counts, each once,
-    pruned by the counts of its prefixes. A list of cyclic factors alone is
-    abelian and is skipped; for any other a table is built, by
+    filtered by G's key: its counts N_k = |{x : x^k = e}| for k | |G|, which
+    sum the order spectrum over k's divisors and so hold it, then |Z(G)|.
+    The dihedral and semidirect names whose closed-form key (_leaf_key) is
+    G's are each checked against its presentation (_presents) with no table;
+    between them, _factorings lists the factor multisets with that key, each
+    once, pruned by the keys of its prefixes. A list of cyclic factors alone
+    is abelian and is skipped; for any other a table is built, by
     parse_and_eval of the display the candidate would return, and searched,
     so the name is the text of the group that matched. No skip changes the
-    answer. A product candidate has |G| elements, so it is built under a
-    size cap of max(DEFAULT_SIZE_CAP, |G|): G's own table exists, so the
-    candidate at most doubles the live table memory, and a G past the size
-    cap, as Aut's cap allows, can still be named.
+    answer: are_isomorphic compares the spectrum and the class sizes, which
+    count the centre, before it searches. A product candidate has |G|
+    elements, so it is built under a size cap of max(DEFAULT_SIZE_CAP, |G|):
+    G's own table exists, so the candidate at most doubles the live table
+    memory, and a G past the size cap, as Aut's cap allows, can still be
+    named.
     """
     n = g.order
     if max(g.orders) == n:
@@ -296,11 +296,12 @@ def identify(g: GroupTable) -> CatalogName:
         return CatalogName("abelian-product", invs, " x ".join(f"Z{d}" for d in invs))
     basics, spec = list(_basic_pool(n)), order_spectrum(g)
     ks = _divisors(n)
-    goal = tuple(sum(c for d, c in spec.items() if k % d == 0) for k in ks)
+    goal = (*(sum(c for d, c in spec.items() if k % d == 0) for k in ks), len(center(g)))
 
     def single(kind):
         return next((b for b in basics if b.kind == kind
-                     and _counts(_presentation(b), ks) == goal and _presents(g, b)), None)
+                     and _leaf_key(_presentation(kind, b.params), ks) == goal
+                     and _presents(g, b)), None)
 
     if dihedral := single("dihedral"):
         return dihedral

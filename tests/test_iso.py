@@ -484,7 +484,7 @@ def test_basic_counts_are_closed_form(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(groupkit.iso, "parse_and_eval", refuse)
-        counts = [_counts(_presentation(name), range(1, 2 * order + 1))
+        counts = [_counts(_presentation(name.kind, name.params), range(1, 2 * order + 1))
                   for order, name in named]
     for (order, name), got in zip(named, counts):
         spec = order_spectrum(parse_and_eval(name.display))
@@ -543,9 +543,12 @@ def test_presents_agrees_with_the_built_table():
     ("Hol 11", "Z11 : Z10 [r^2]"),
     ("Z16 : Z8 [r^9]", "Z16 : Z8 [r^9]"),
     ("Z7 : Z6 [r^3]", "Z7 : Z6 [r^3]"),
+    ("Z9 : Z6 [r^2]", "Z9 : Z6 [r^2]"),
+    ("Hol 27", "unidentified (order 486)"),
 ])
 def test_single_names_build_no_table(monkeypatch, expr, display):
     # Z16 : Z8 [r^9] has the counts N_k of Z8 x Z16, an abelian list identify skips
+    # Z9 : Z6 [r^2] and Hol 27 share their counts with Z3 x D9 and Z9 x D27, whose centres differ
     g = parse_and_eval(expr)
 
     def refuse(*args, **kwargs):
